@@ -23,17 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotABNormal
-from .linalg import (
-    EPS,
-    _eigh_desc,
-    _herm_norm,
-    as_matrix,
-    cartesian_parts,
-    kernels_equal,
-    phase_normalize,
-    require_square,
-    spectral_norm,
-)
+from .linalg import compare_kernels, eigh_desc, herm_norm, kernel_cutoff, phase_normalize
+from .workspace import Workspace
 
 
 @dataclass(frozen=True)
@@ -62,16 +53,16 @@ def ab_certify(t, tol: float | None = None) -> ABNormalCertificate:
     above zero works, so the certificate reports is_ab_normal False with
     alpha_best 0 rather than a degenerate pair.
     """
-    a = require_square(as_matrix(t))
+    ws = Workspace.of(t)
+    a = ws.a
     n = a.shape[0]
-    rel = float(tol) if tol is not None else n * EPS
-    comparison = kernels_equal(a, rel)
+    rel = kernel_cutoff(tol, n)
+    comparison = compare_kernels(ws.gram_eig, ws.cogram_eig, rel)
 
-    gvals, gvecs = _eigh_desc(a.conj().T @ a)
-    sigma = np.sqrt(np.clip(gvals, 0.0, None))
-    smax = float(sigma[0])
-    e1 = np.zeros(n, dtype=np.complex128)
-    e1[0] = 1.0
+    gvecs = ws.gram_eig[1]
+    sigma = ws.sigma
+    smax = ws.norm
+    e1 = np.eye(1, n, dtype=np.complex128)[0]
     if smax == 0.0:
         # The zero matrix is normal: both defining inequalities are 0 <= 0.
         return ABNormalCertificate(1.0, 1.0, True, True, e1, e1, 1.0, 1.0)
@@ -82,7 +73,7 @@ def ab_certify(t, tol: float | None = None) -> ABNormalCertificate:
     cogram = a @ a.conj().T
     projected = v.conj().T @ cogram @ v
     pencil = projected / np.outer(sk, sk)
-    mu, y = _eigh_desc(pencil)
+    mu, y = eigh_desc(pencil)
     mu = np.clip(mu, 0.0, None)
     raw_max = math.sqrt(float(mu[0]))
     raw_min = math.sqrt(float(mu[-1]))
@@ -114,41 +105,34 @@ def ab_certify(t, tol: float | None = None) -> ABNormalCertificate:
     )
 
 
-def _require_certified(cert: ABNormalCertificate) -> None:
+def _factor(cert: ABNormalCertificate) -> float:
     if not cert.is_ab_normal:
         raise NotABNormal("certificate does not establish (alpha, beta)-normality")
-
-
-def _factor(cert: ABNormalCertificate) -> float:
     return max(1.0 + cert.alpha_best**2, 1.0 + 1.0 / cert.beta_best**2)
 
 
 def lower_th5(t, cert: ABNormalCertificate) -> float:
     """sqrt(max(1 + a^2, 1 + 1/b^2) ||T||^2 / 4 + | ||Re T||^2 - ||Im T||^2 | / 2),
     a lower bound on w(T) for certified matrices."""
-    _require_certified(cert)
-    a = require_square(as_matrix(t))
-    re, im = cartesian_parts(a)
-    nrm = spectral_norm(a)
-    spread = abs(_herm_norm(re) ** 2 - _herm_norm(im) ** 2)
-    return math.sqrt(_factor(cert) * nrm**2 / 4.0 + spread / 2.0)
+    factor = _factor(cert)
+    ws = Workspace.of(t)
+    re, im = ws.re_im
+    spread = abs(herm_norm(re) ** 2 - herm_norm(im) ** 2)
+    return math.sqrt(factor * ws.norm**2 / 4.0 + spread / 2.0)
 
 
 def lower_th6(t, cert: ABNormalCertificate) -> float:
     """Like lower_th5 but spread through the rotated Cartesian pair:
     | ||Re+Im||^2 - ||Re-Im||^2 | / 4 under the square root."""
-    _require_certified(cert)
-    a = require_square(as_matrix(t))
-    re, im = cartesian_parts(a)
-    nrm = spectral_norm(a)
-    spread = abs(_herm_norm(re + im) ** 2 - _herm_norm(re - im) ** 2)
-    return math.sqrt(_factor(cert) * nrm**2 / 4.0 + spread / 4.0)
+    factor = _factor(cert)
+    ws = Workspace.of(t)
+    re, im = ws.re_im
+    spread = abs(herm_norm(re + im) ** 2 - herm_norm(re - im) ** 2)
+    return math.sqrt(factor * ws.norm**2 / 4.0 + spread / 4.0)
 
 
 def lower_sab(t, cert: ABNormalCertificate) -> float:
     """max(sqrt(1 + a^2), sqrt(1 + 1/b^2)) ||T|| / 2; strictly above
     ||T|| / 2 whenever the certificate is non-degenerate, and never above
     lower_th5 or lower_th6."""
-    _require_certified(cert)
-    nrm = spectral_norm(as_matrix(t))
-    return math.sqrt(_factor(cert)) * nrm / 2.0
+    return math.sqrt(_factor(cert)) * Workspace.of(t).norm / 2.0

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bound_th1, bound_th2
-from .errors import BadAlpha, NotUnit
-from .linalg import _eigh_desc, as_matrix, phase_normalize, require_square, spectral_norm
+from .linalg import check_alpha, check_unit, phase_normalize
 from .radius import numerical_radius
+from .workspace import Workspace
 
 ARMIJO_C = 1e-4
 GRAD_TOL = 1e-10
@@ -41,25 +41,11 @@ class AlphaNormEstimate:
     upper_cert: float
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise BadAlpha(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
-
-
-def _check_unit(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise NotUnit(f"vector norm {np.linalg.norm(v):.12g} is not 1 within 1e-10")
-    return v
-
-
 def alpha_objective(t, alpha: float, x) -> float:
     """alpha |<Tx, x>|^2 + (1 - alpha) ||Tx||^2 for a unit vector x."""
-    alpha = _check_alpha(alpha)
-    a = require_square(as_matrix(t))
-    v = _check_unit(x)
+    alpha = check_alpha(alpha)
+    a = Workspace.of(t).a
+    v = check_unit(x)
     tv = a @ v
     c = np.vdot(v, tv)
     return float(alpha * abs(c) ** 2 + (1.0 - alpha) * float(np.linalg.norm(tv)) ** 2)
@@ -73,25 +59,15 @@ def alpha_gradient(t, alpha: float, x) -> np.ndarray:
     g - <g, x> x is returned.  The directional derivative of the
     objective along the result equals twice its squared norm.
     """
-    alpha = _check_alpha(alpha)
-    a = require_square(as_matrix(t))
-    v = _check_unit(x)
-    return _tangent_gradient(a, alpha, v)
-
-
-def _tangent_gradient(a: np.ndarray, alpha: float, v: np.ndarray) -> np.ndarray:
+    alpha = check_alpha(alpha)
+    a = Workspace.of(t).a
+    v = check_unit(x)
     tv = a @ v
     c = np.vdot(v, tv)
     g = alpha * (np.conj(c) * tv + c * (a.conj().T @ v)) + (1.0 - alpha) * (
         a.conj().T @ tv
     )
     return g - np.vdot(v, g) * v
-
-
-def _value(a: np.ndarray, alpha: float, v: np.ndarray) -> float:
-    tv = a @ v
-    c = np.vdot(v, tv)
-    return float(alpha * abs(c) ** 2 + (1.0 - alpha) * float(np.linalg.norm(tv)) ** 2)
 
 
 def _ascend(a: np.ndarray, alpha: float, x0: np.ndarray) -> tuple[float, np.ndarray]:
@@ -150,21 +126,20 @@ def alpha_norm_estimate(
     upper_cert is min(||T||, sqrt(th2 bound), sqrt(th1 bound at
     exponent 1/2)) at the same alpha.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     restarts = int(restarts)
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    a = require_square(as_matrix(t))
+    ws = Workspace.of(t)
+    a = ws.a
     n = a.shape[0]
-    nrm = spectral_norm(a)
+    nrm = ws.norm
     if nrm == 0.0:
-        e1 = np.zeros(n, dtype=np.complex128)
-        e1[0] = 1.0
+        e1 = np.eye(1, n, dtype=np.complex128)[0]
         return AlphaNormEstimate(alpha, 0.0, e1, 0.0)
 
     starts: list[np.ndarray] = []
-    _, gvecs = _eigh_desc(a.conj().T @ a)
-    starts.append(gvecs[:, 0])
+    starts.append(ws.gram_eig[1][:, 0])
     if restarts >= 2:
         witness = radius_witness
         if witness is None:
@@ -184,8 +159,8 @@ def alpha_norm_estimate(
 
     upper = min(
         nrm,
-        math.sqrt(max(bound_th2(a, alpha), 0.0)),
-        math.sqrt(max(bound_th1(a, alpha, 0.5), 0.0)),
+        math.sqrt(max(bound_th2(ws, alpha), 0.0)),
+        math.sqrt(max(bound_th1(ws, alpha, 0.5), 0.0)),
     )
     return AlphaNormEstimate(
         alpha=alpha,

@@ -29,53 +29,29 @@ Report identifiers:
 TH2 coincides with PP0 and TH4 with IMPR1^2 by construction; the
 duplicated rows mirror how the optimized forms are derived from the
 pointwise ones.
+
+The catalog is one table, CATALOG, over a shared Workspace: each row
+is an alpha-objective minimized once per matrix, a fixed formula, or a
+min / square root of other rows.  The public bound_* functions are
+views of the same objectives and formulas.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
-import numpy as np
-
-from .errors import BadAlpha, BadExponent
-from .linalg import (
-    _eigh_desc,
-    _herm_norm,
-    _power_from_eig,
-    as_matrix,
-    cartesian_parts,
-    require_square,
-)
+from .errors import BadExponent
+from .linalg import check_alpha, herm_norm
 from .radius import RadiusBracket, numerical_radius
+from .workspace import Workspace
 
 KIND_UPPER_W2 = "upper-on-w2"
 KIND_UPPER_W = "upper-on-w"
 KIND_LOWER_W = "lower-on-w"
 
-BOUND_IDS = (
-    "TH1",
-    "COR1_GAMMA",
-    "COR1_DELTA",
-    "COR1_MIN",
-    "TH2",
-    "PP0",
-    "TH3",
-    "COR3",
-    "COR4",
-    "EQN5",
-    "KITTANEH_SUM",
-    "KITTANEH_MODULI",
-    "TH4",
-    "IMPR1",
-    "LOW1",
-    "LOW4",
-)
-
 R_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 GOLDEN_TOL = 1e-10
-_W_TERM_TOL = 1e-9
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -115,69 +91,87 @@ def golden_section(f, lo: float = 0.0, hi: float = 1.0, tol: float = GOLDEN_TOL)
     return float(best_x), float(best_f)
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise BadAlpha(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
+def _mix(a: float, x, y) -> float:
+    return herm_norm(a * x + (1.0 - a) * y)
 
 
-class _Workspace:
-    """Cached spectral objects for one matrix.
+def _refined(ws: Workspace, a: float, x, y) -> float:
+    return herm_norm((1.0 - 0.75 * a) * x + 0.25 * a * y) + 0.5 * a * ws.re_cross_norm
 
-    The moduli squares are taken directly from the hermitized Gram
-    products (|T|^2 = T*T exactly) rather than squaring the computed
-    square roots.
-    """
 
-    def __init__(self, t):
-        a = require_square(as_matrix(t))
-        self.a = a
-        self.gram = (a.conj().T @ a + (a.conj().T @ a).conj().T) / 2.0
-        self.cogram = (a @ a.conj().T + (a @ a.conj().T).conj().T) / 2.0
-        self.gvals, self.gvecs = _eigh_desc(self.gram)
-        self.cvals, self.cvecs = _eigh_desc(self.cogram)
-        self.sigma = np.sqrt(np.clip(self.gvals, 0.0, None))
-        self.norm = float(self.sigma[0])
+def _buzano(ws: Workspace, a: float, x, y) -> float:
+    common = (a / 4.0) * ws.w_mix_upper**2 + (a / 4.0) * ws.w_prod_upper
+    return common + herm_norm((1.0 - 7.0 * a / 8.0) * x + (a / 8.0) * y)
 
-    def mod_power(self, e: float) -> np.ndarray:
-        """|T|**e via the Gram eigenbasis (exponent may exceed 1)."""
-        return _power_from_eig(np.clip(self.gvals, 0.0, None), self.gvecs, e / 2.0)
 
-    def comod_power(self, e: float) -> np.ndarray:
-        """|T*|**e via the co-Gram eigenbasis."""
-        return _power_from_eig(np.clip(self.cvals, 0.0, None), self.cvecs, e / 2.0)
+# The alpha-objectives, each convex in alpha on [0, 1]: the norm of an
+# affine matrix family plus a linear term.
+OBJECTIVES = {
+    "gamma": lambda ws, a: _refined(ws, a, ws.gram, ws.cogram),
+    "delta": lambda ws, a: _refined(ws, a, ws.cogram, ws.gram),
+    "pp0": lambda ws, a: _mix(a, ws.gram, ws.cogram),
+    "th3": lambda ws, a: _buzano(ws, a, ws.gram, ws.cogram),
+    "cor3": lambda ws, a: _buzano(ws, a, ws.cogram, ws.gram),
+    "moduli_mix": lambda ws, a: _mix(a, ws.abs_t, ws.abs_t_star),
+}
 
-    @cached_property
-    def abs_t(self) -> np.ndarray:
-        return self.mod_power(1.0)
 
-    @cached_property
-    def abs_t_star(self) -> np.ndarray:
-        return self.comod_power(1.0)
+def _minimize(ws: Workspace, name: str) -> tuple[float, float]:
+    """(argmin, minimum) over alpha in [0, 1] of the objective called name."""
+    if name == "moduli_mix" and ws.norm == 0.0:
+        # |T| = |T*| = 0: nothing to mix, report the midpoint.
+        return 0.5, 0.0
+    objective = OBJECTIVES[name]
+    return golden_section(lambda a: objective(ws, a))
 
-    @cached_property
-    def re_im(self) -> tuple[np.ndarray, np.ndarray]:
-        return cartesian_parts(self.a)
 
-    @cached_property
-    def re_cross(self) -> np.ndarray:
-        cross = self.abs_t @ self.abs_t_star
-        return (cross + cross.conj().T) / 2.0
+def _th1(ws: Workspace, alpha: float, r: float) -> float:
+    f4 = ws.mod_power(4.0 * r)
+    g4 = ws.comod_power(4.0 * (1.0 - r))
+    cross = ws.mod_power(2.0 * r) @ ws.comod_power(2.0 * (1.0 - r))
+    re_cross = (cross + cross.conj().T) / 2.0
+    main = herm_norm((alpha / 4.0) * (f4 + g4) + (1.0 - alpha) * ws.gram)
+    return main + (alpha / 2.0) * herm_norm(re_cross)
 
-    @cached_property
-    def re_cross_norm(self) -> float:
-        return _herm_norm(self.re_cross)
 
-    @cached_property
-    def w_mix_upper(self) -> float:
-        """Upper endpoint of the bracket for w(|T| + i |T*|)."""
-        return numerical_radius(self.abs_t + 1j * self.abs_t_star, _W_TERM_TOL).upper
+def _low4(ws: Workspace) -> float:
+    re, im = ws.re_im
+    return max(herm_norm(re + im), herm_norm(re - im)) / math.sqrt(2.0)
 
-    @cached_property
-    def w_prod_upper(self) -> float:
-        """Upper endpoint of the bracket for w(|T| |T*|)."""
-        return numerical_radius(self.abs_t @ self.abs_t_star, _W_TERM_TOL).upper
+
+# The catalog in report order, one row per bound: (id, kind, source, arg).
+# The source says how the value is obtained:
+#   "alpha-min"   the minimum of the objective named arg; alpha_at is its argmin
+#   "sqrt-of"     the square root of an objective minimum or of an earlier row
+#   "norm-times"  ||T|| times an objective minimum
+#   "min-of"      the smallest of the earlier rows named in arg, ties to the first
+#   "r-scan"      min over r in R_GRID of arg(ws, r), ties to the smaller r
+#   "fixed"       arg(ws)
+# Each objective is minimized at most once per report, however many rows
+# read it.
+CATALOG = (
+    ("TH1", KIND_UPPER_W2, "r-scan", lambda ws, r: _th1(ws, 1.0, r)),
+    ("COR1_GAMMA", KIND_UPPER_W, "sqrt-of", "gamma"),
+    ("COR1_DELTA", KIND_UPPER_W, "sqrt-of", "delta"),
+    ("COR1_MIN", KIND_UPPER_W, "min-of", ("COR1_GAMMA", "COR1_DELTA")),
+    # Both orientations of the th2 mix sweep the same family, so the
+    # alpha-minimized th2 equals pp0.
+    ("TH2", KIND_UPPER_W2, "alpha-min", "pp0"),
+    ("PP0", KIND_UPPER_W2, "alpha-min", "pp0"),
+    ("TH3", KIND_UPPER_W2, "alpha-min", "th3"),
+    ("COR3", KIND_UPPER_W2, "alpha-min", "cor3"),
+    ("COR4", KIND_UPPER_W2, "min-of", ("TH3", "COR3")),
+    ("EQN5", KIND_UPPER_W2, "fixed", lambda ws: OBJECTIVES["th3"](ws, 1.0)),
+    ("KITTANEH_SUM", KIND_UPPER_W2, "fixed", lambda ws: 0.5 * herm_norm(ws.gram + ws.cogram)),
+    ("KITTANEH_MODULI", KIND_UPPER_W, "fixed", lambda ws: 0.5 * herm_norm(ws.abs_t + ws.abs_t_star)),
+    ("TH4", KIND_UPPER_W2, "norm-times", "moduli_mix"),
+    ("IMPR1", KIND_UPPER_W, "sqrt-of", "TH4"),
+    ("LOW1", KIND_LOWER_W, "fixed", lambda ws: max(map(herm_norm, ws.re_im))),
+    ("LOW4", KIND_LOWER_W, "fixed", _low4),
+)
+
+BOUND_IDS = tuple(row[0] for row in CATALOG)
+_FIXED = {bound_id: arg for bound_id, _, source, arg in CATALOG if source == "fixed"}
 
 
 def bound_th1(t, alpha: float, r: float) -> float:
@@ -186,21 +180,11 @@ def bound_th1(t, alpha: float, r: float) -> float:
         ||(a/4)(|T|^{4r} + |T*|^{4(1-r)}) + (1-a)|T|^2||
             + (a/2) ||Re(|T|^{2r} |T*|^{2(1-r)})||
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     r = float(r)
     if not 0.0 <= r <= 1.0:
         raise BadExponent(f"exponent must lie in [0, 1], got {r}")
-    ws = t if isinstance(t, _Workspace) else _Workspace(t)
-    return _th1(ws, alpha, r)
-
-
-def _th1(ws: _Workspace, alpha: float, r: float) -> float:
-    f4 = ws.mod_power(4.0 * r)
-    g4 = ws.comod_power(4.0 * (1.0 - r))
-    cross = ws.mod_power(2.0 * r) @ ws.comod_power(2.0 * (1.0 - r))
-    re_cross = (cross + cross.conj().T) / 2.0
-    main = _herm_norm((alpha / 4.0) * (f4 + g4) + (1.0 - alpha) * ws.gram)
-    return main + (alpha / 2.0) * _herm_norm(re_cross)
+    return _th1(Workspace.of(t), alpha, r)
 
 
 def gamma_delta(t) -> tuple[float, float, float, float]:
@@ -210,45 +194,24 @@ def gamma_delta(t) -> tuple[float, float, float, float]:
 
     and delta with the moduli squares swapped inside the norm.
     """
-    ws = t if isinstance(t, _Workspace) else _Workspace(t)
-    rc = ws.re_cross_norm
-
-    def f_gamma(a):
-        return _herm_norm((1.0 - 0.75 * a) * ws.gram + 0.25 * a * ws.cogram) + 0.5 * a * rc
-
-    def f_delta(a):
-        return _herm_norm((1.0 - 0.75 * a) * ws.cogram + 0.25 * a * ws.gram) + 0.5 * a * rc
-
-    a_g, g2 = golden_section(f_gamma)
-    a_d, d2 = golden_section(f_delta)
+    ws = Workspace.of(t)
+    a_g, g2 = _minimize(ws, "gamma")
+    a_d, d2 = _minimize(ws, "delta")
     return math.sqrt(max(g2, 0.0)), math.sqrt(max(d2, 0.0)), a_g, a_d
 
 
 def bound_th2(t, alpha: float) -> float:
     """min(||a|T|^2 + (1-a)|T*|^2||, ||a|T*|^2 + (1-a)|T|^2||), an upper
     bound on the squared alpha-norm."""
-    alpha = _check_alpha(alpha)
-    ws = t if isinstance(t, _Workspace) else _Workspace(t)
-    first = _herm_norm(alpha * ws.gram + (1.0 - alpha) * ws.cogram)
-    second = _herm_norm(alpha * ws.cogram + (1.0 - alpha) * ws.gram)
-    return min(first, second)
+    alpha = check_alpha(alpha)
+    ws = Workspace.of(t)
+    return min(_mix(alpha, ws.gram, ws.cogram), _mix(alpha, ws.cogram, ws.gram))
 
 
 def pp0_min(t) -> tuple[float, float]:
     """min over alpha of ||a|T|^2 + (1-a)|T*|^2||, with the minimizer."""
-    ws = t if isinstance(t, _Workspace) else _Workspace(t)
-
-    def f(a):
-        return _herm_norm(a * ws.gram + (1.0 - a) * ws.cogram)
-
-    a_star, val = golden_section(f)
+    a_star, val = _minimize(Workspace.of(t), "pp0")
     return val, a_star
-
-
-def _th3_norm_terms(ws: _Workspace, alpha: float) -> tuple[float, float]:
-    n1 = _herm_norm((1.0 - 7.0 * alpha / 8.0) * ws.gram + (alpha / 8.0) * ws.cogram)
-    n2 = _herm_norm((1.0 - 7.0 * alpha / 8.0) * ws.cogram + (alpha / 8.0) * ws.gram)
-    return n1, n2
 
 
 def bound_th3_family(t, alpha: float) -> tuple[float, float, float]:
@@ -260,11 +223,10 @@ def bound_th3_family(t, alpha: float) -> tuple[float, float, float]:
     cor3 swaps the moduli squares inside the norm term, cor4 takes the
     smaller norm term.  The w terms use certified bracket uppers.
     """
-    alpha = _check_alpha(alpha)
-    ws = t if isinstance(t, _Workspace) else _Workspace(t)
-    common = (alpha / 4.0) * ws.w_mix_upper**2 + (alpha / 4.0) * ws.w_prod_upper
-    n1, n2 = _th3_norm_terms(ws, alpha)
-    return common + n1, common + n2, common + min(n1, n2)
+    alpha = check_alpha(alpha)
+    ws = Workspace.of(t)
+    th3, cor3 = OBJECTIVES["th3"](ws, alpha), OBJECTIVES["cor3"](ws, alpha)
+    return th3, cor3, min(th3, cor3)
 
 
 def eqn5_and_classics(t) -> tuple[float, float, float]:
@@ -276,11 +238,8 @@ def eqn5_and_classics(t) -> tuple[float, float, float]:
 
     eqn5 <= kittaneh_sum always holds.
     """
-    ws = t if isinstance(t, _Workspace) else _Workspace(t)
-    eqn5 = bound_th3_family(ws, 1.0)[0]
-    kitt_sum = 0.5 * _herm_norm(ws.gram + ws.cogram)
-    kitt_mod = 0.5 * _herm_norm(ws.abs_t + ws.abs_t_star)
-    return eqn5, kitt_sum, kitt_mod
+    ws = Workspace.of(t)
+    return tuple(_FIXED[i](ws) for i in ("EQN5", "KITTANEH_SUM", "KITTANEH_MODULI"))
 
 
 def bound_th4_impr1(t) -> tuple[float, float, float]:
@@ -290,14 +249,8 @@ def bound_th4_impr1(t) -> tuple[float, float, float]:
         impr1     = sqrt(inner_min * ||T||), an upper bound on w(T)
                     that never exceeds ||T||.
     """
-    ws = t if isinstance(t, _Workspace) else _Workspace(t)
-    if ws.norm == 0.0:
-        return 0.0, 0.5, 0.0
-
-    def f(a):
-        return _herm_norm(a * ws.abs_t + (1.0 - a) * ws.abs_t_star)
-
-    a_star, inner = golden_section(f)
+    ws = Workspace.of(t)
+    a_star, inner = _minimize(ws, "moduli_mix")
     return inner, a_star, math.sqrt(max(inner * ws.norm, 0.0))
 
 
@@ -307,11 +260,8 @@ def lower_general(t) -> tuple[float, float]:
         low1 = max(||Re T||, ||Im T||)
         low4 = max(||Re T + Im T||, ||Re T - Im T||) / sqrt(2)
     """
-    ws = t if isinstance(t, _Workspace) else _Workspace(t)
-    re, im = ws.re_im
-    low1 = max(_herm_norm(re), _herm_norm(im))
-    low4 = max(_herm_norm(re + im), _herm_norm(re - im)) / math.sqrt(2.0)
-    return low1, low4
+    ws = Workspace.of(t)
+    return _FIXED["LOW1"](ws), _FIXED["LOW4"](ws)
 
 
 @dataclass(frozen=True)
@@ -339,64 +289,51 @@ class BoundValue:
 @dataclass(frozen=True)
 class BoundReport:
     """Every catalog bound evaluated on one matrix, with the certified
-    radius bracket for comparison."""
+    radius bracket for comparison.  minima maps each objective name to
+    the (argmin, minimum) of its one golden-section search."""
 
     w_bracket: RadiusBracket
     norm: float
     entries: tuple[BoundValue, ...]
     tightest_upper: str
     tightest_lower: str
+    minima: dict[str, tuple[float, float]]
 
 
-def _report_entries(ws: _Workspace) -> list[BoundValue]:
-    entries: list[BoundValue] = []
+def _catalog(ws: Workspace) -> tuple[tuple[BoundValue, ...], dict[str, tuple[float, float]]]:
+    minima: dict[str, tuple[float, float]] = {}
+    rows: dict[str, BoundValue] = {}
 
-    th1_r, th1_val = min(
-        ((r, _th1(ws, 1.0, r)) for r in R_GRID), key=lambda p: (p[1], p[0])
-    )
-    entries.append(BoundValue("TH1", KIND_UPPER_W2, th1_val, r_at=th1_r))
+    def found(name: str) -> tuple[float, float | None]:
+        """(value, alpha_at) of an earlier row or of an objective minimum."""
+        if name in rows:
+            return rows[name].value, rows[name].alpha_at
+        if name not in minima:
+            minima[name] = _minimize(ws, name)
+        alpha, value = minima[name]
+        return value, alpha
 
-    gamma, delta, a_g, a_d = gamma_delta(ws)
-    entries.append(BoundValue("COR1_GAMMA", KIND_UPPER_W, gamma, alpha_at=a_g))
-    entries.append(BoundValue("COR1_DELTA", KIND_UPPER_W, delta, alpha_at=a_d))
-    if gamma <= delta:
-        entries.append(BoundValue("COR1_MIN", KIND_UPPER_W, gamma, alpha_at=a_g))
-    else:
-        entries.append(BoundValue("COR1_MIN", KIND_UPPER_W, delta, alpha_at=a_d))
-
-    pp0_val, pp0_a = pp0_min(ws)
-    # Both orientations of the th2 mix sweep the same family, so the
-    # alpha-minimized th2 equals pp0.
-    entries.append(BoundValue("TH2", KIND_UPPER_W2, pp0_val, alpha_at=pp0_a))
-    entries.append(BoundValue("PP0", KIND_UPPER_W2, pp0_val, alpha_at=pp0_a))
-
-    common = lambda a: (a / 4.0) * ws.w_mix_upper**2 + (a / 4.0) * ws.w_prod_upper
-    a3, th3_val = golden_section(lambda a: common(a) + _th3_norm_terms(ws, a)[0])
-    c3, cor3_val = golden_section(lambda a: common(a) + _th3_norm_terms(ws, a)[1])
-    entries.append(BoundValue("TH3", KIND_UPPER_W2, th3_val, alpha_at=a3))
-    entries.append(BoundValue("COR3", KIND_UPPER_W2, cor3_val, alpha_at=c3))
-    if th3_val <= cor3_val:
-        entries.append(BoundValue("COR4", KIND_UPPER_W2, th3_val, alpha_at=a3))
-    else:
-        entries.append(BoundValue("COR4", KIND_UPPER_W2, cor3_val, alpha_at=c3))
-
-    eqn5, kitt_sum, kitt_mod = eqn5_and_classics(ws)
-    entries.append(BoundValue("EQN5", KIND_UPPER_W2, eqn5))
-    entries.append(BoundValue("KITTANEH_SUM", KIND_UPPER_W2, kitt_sum))
-    entries.append(BoundValue("KITTANEH_MODULI", KIND_UPPER_W, kitt_mod))
-
-    inner, a4, impr1 = bound_th4_impr1(ws)
-    entries.append(BoundValue("TH4", KIND_UPPER_W2, inner * ws.norm, alpha_at=a4))
-    entries.append(BoundValue("IMPR1", KIND_UPPER_W, impr1, alpha_at=a4))
-
-    low1, low4 = lower_general(ws)
-    entries.append(BoundValue("LOW1", KIND_LOWER_W, low1))
-    entries.append(BoundValue("LOW4", KIND_LOWER_W, low4))
-    return entries
+    for bound_id, kind, source, arg in CATALOG:
+        alpha_at = r_at = None
+        if source == "r-scan":
+            r_at, value = min(((r, arg(ws, r)) for r in R_GRID), key=lambda p: (p[1], p[0]))
+        elif source == "fixed":
+            value = arg(ws)
+        elif source == "min-of":
+            value, alpha_at = min((found(name) for name in arg), key=lambda p: p[0])
+        else:
+            value, alpha_at = found(arg)
+            if source == "sqrt-of":
+                value = math.sqrt(max(value, 0.0))
+            elif source == "norm-times":
+                value = value * ws.norm
+        rows[bound_id] = BoundValue(bound_id, kind, value, alpha_at, r_at)
+    return tuple(rows.values()), minima
 
 
-def _report_from_workspace(ws: _Workspace, bracket: RadiusBracket) -> BoundReport:
-    entries = _report_entries(ws)
+def report_from_workspace(ws: Workspace, bracket: RadiusBracket) -> BoundReport:
+    """The catalog on a workspace, against an already computed w(T) bracket."""
+    entries, minima = _catalog(ws)
     uppers = [e for e in entries if e.is_upper]
     lowers = [e for e in entries if not e.is_upper]
     tight_up = min(uppers, key=lambda e: (e.value_on_w_scale, e.bound_id))
@@ -404,14 +341,14 @@ def _report_from_workspace(ws: _Workspace, bracket: RadiusBracket) -> BoundRepor
     return BoundReport(
         w_bracket=bracket,
         norm=ws.norm,
-        entries=tuple(entries),
+        entries=entries,
         tightest_upper=tight_up.bound_id,
         tightest_lower=tight_lo.bound_id,
+        minima=minima,
     )
 
 
 def bound_report(t, tol: float = 1e-9) -> BoundReport:
     """Evaluate every catalog bound on T against a certified w(T) bracket."""
-    ws = _Workspace(t)
-    bracket = numerical_radius(ws.a, tol)
-    return _report_from_workspace(ws, bracket)
+    ws = Workspace.of(t)
+    return report_from_workspace(ws, numerical_radius(ws.a, tol))

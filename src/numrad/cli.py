@@ -44,16 +44,12 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _matrix_obj(a: np.ndarray) -> dict:
-    return {
-        "n": int(a.shape[0]),
-        "m": int(a.shape[1]),
-        "entries": [[float(v.real), float(v.imag)] for v in a.reshape(-1)],
-    }
-
-
 def _vector_pairs(x: np.ndarray) -> list[list[float]]:
     return [[float(v.real), float(v.imag)] for v in np.asarray(x).reshape(-1)]
+
+
+def _matrix_obj(a: np.ndarray) -> dict:
+    return {"n": int(a.shape[0]), "m": int(a.shape[1]), "entries": _vector_pairs(a)}
 
 
 def _finite_or_none(v: float) -> float | None:
@@ -137,22 +133,14 @@ def _report_rows(report: BoundReport) -> list[dict]:
 
 
 def _report_csv(report: BoundReport) -> str:
+    rows = _report_rows(report)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["bound_id", "kind", "value_on_w_scale", "alpha_at", "r_at", "slack_vs_w_lower"]
-    )
-    for row in _report_rows(report):
-        writer.writerow(
-            [
-                row["bound_id"],
-                row["kind"],
-                repr(row["value_on_w_scale"]),
-                "" if row["alpha_at"] is None else repr(row["alpha_at"]),
-                "" if row["r_at"] is None else repr(row["r_at"]),
-                repr(row["slack_vs_w_lower"]),
-            ]
-        )
+    writer.writerow(rows[0].keys())
+    for row in rows:
+        # Strings as they are, floats by repr (bit-exact), None as an empty field.
+        cells = (v if isinstance(v, str) else "" if v is None else repr(v) for v in row.values())
+        writer.writerow(cells)
     return buf.getvalue()
 
 

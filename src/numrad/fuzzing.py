@@ -26,6 +26,7 @@ from .ensembles import ENSEMBLES, random_matrix, stream_rng
 from .errors import BadEnsemble
 from .radius import numerical_radius
 from .scalar_checks import scalar_inequality_checks
+from .workspace import Workspace
 
 ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_TOL = 1e-7
@@ -79,7 +80,8 @@ class FuzzSummary:
 
 
 class TrialContext:
-    """Lazy per-matrix cache shared by the property checks."""
+    """Lazy per-matrix cache shared by the property checks: one workspace
+    passed to every call, and one bound report read by every property."""
 
     def __init__(self, matrix: np.ndarray, rng: np.random.Generator, config: FuzzConfig, ensemble: str):
         self.matrix = matrix
@@ -88,8 +90,8 @@ class TrialContext:
         self.ensemble = ensemble
 
     @cached_property
-    def workspace(self) -> bounds._Workspace:
-        return bounds._Workspace(self.matrix)
+    def workspace(self) -> Workspace:
+        return Workspace(self.matrix)
 
     @cached_property
     def norm(self) -> float:
@@ -101,15 +103,20 @@ class TrialContext:
 
     @cached_property
     def report(self) -> bounds.BoundReport:
-        return bounds._report_from_workspace(self.workspace, self.bracket)
+        return bounds.report_from_workspace(self.workspace, self.bracket)
+
+    @cached_property
+    def rows(self) -> dict[str, float]:
+        """Report values by bound id."""
+        return {e.bound_id: e.value for e in self.report.entries}
 
     @cached_property
     def certificate(self):
-        return ab_certify(self.matrix)
+        return ab_certify(self.workspace)
 
     def alpha_estimate(self, alpha: float):
         return alpha_norm_estimate(
-            self.matrix,
+            self.workspace,
             alpha,
             restarts=self.config.alpha_restarts,
             seed=0,
@@ -156,23 +163,23 @@ def _prop_catalog(ctx: TrialContext):
 
 
 def _prop_rem1_chain(ctx: TrialContext):
-    ws = ctx.workspace
-    gamma, delta, _, _ = bounds.gamma_delta(ws)
-    mid = 0.25 * bounds._herm_norm(ws.gram + ws.cogram) + 0.5 * ws.re_cross_norm
-    outer = 0.25 * bounds._herm_norm(ws.gram + ws.cogram) + 0.5 * ws.w_prod_upper
-    best = min(gamma**2, delta**2)
+    ws, rows = ctx.workspace, ctx.rows
+    # 0.5 * KITTANEH_SUM is ||T*T + TT*|| / 4 exactly.
+    mid = 0.5 * rows["KITTANEH_SUM"] + 0.5 * ws.re_cross_norm
+    outer = 0.5 * rows["KITTANEH_SUM"] + 0.5 * ws.w_prod_upper
+    best = min(rows["COR1_GAMMA"] ** 2, rows["COR1_DELTA"] ** 2)
     if best > mid + CHAIN_TOL or mid > outer + CHAIN_TOL:
         yield {"min_gamma_delta_sq": best, "re_cross_form": mid, "w_prod_form": outer}
 
 
 def _prop_eqn5_chain(ctx: TrialContext):
-    eqn5, kitt_sum, _ = bounds.eqn5_and_classics(ctx.workspace)
+    eqn5, kitt_sum = ctx.rows["EQN5"], ctx.rows["KITTANEH_SUM"]
     if eqn5 > kitt_sum + CHAIN_TOL:
         yield {"eqn5": eqn5, "kittaneh_sum": kitt_sum}
 
 
 def _prop_impr1(ctx: TrialContext):
-    _, _, impr1 = bounds.bound_th4_impr1(ctx.workspace)
+    impr1 = ctx.rows["IMPR1"]
     if impr1 > ctx.norm + CHAIN_TOL:
         yield {"impr1": impr1, "norm": ctx.norm}
 
@@ -182,9 +189,9 @@ def _prop_ab_orderings(ctx: TrialContext):
     if not cert.is_ab_normal:
         return
     tol = ctx.config.tol
-    sab = lower_sab(ctx.matrix, cert)
-    th5 = lower_th5(ctx.matrix, cert)
-    th6 = lower_th6(ctx.matrix, cert)
+    sab = lower_sab(ctx.workspace, cert)
+    th5 = lower_th5(ctx.workspace, cert)
+    th6 = lower_th6(ctx.workspace, cert)
     up = ctx.bracket.upper
     bad = (
         sab > th5 + CHAIN_TOL
@@ -213,7 +220,7 @@ def _prop_scalar_checks(ctx: TrialContext):
         x = ctx.unit_vector()
         y = ctx.unit_vector()
         r = float(ctx.rng.uniform(0.0, 1.0))
-        checks = scalar_inequality_checks(ctx.matrix, x, y, r)
+        checks = scalar_inequality_checks(ctx.workspace, x, y, r)
         if not all(checks):
             yield {
                 "pair": k,
@@ -239,7 +246,7 @@ DEFAULT_PROPERTIES = (
 
 
 def _open_question_diagnostic(ctx: TrialContext, diag: dict) -> None:
-    inner, _, _ = bounds.bound_th4_impr1(ctx.workspace)
+    _, inner = ctx.report.minima["moduli_mix"]
     if inner >= ctx.bracket.lower - ctx.config.tol:
         diag["moduli_mix_vs_w_support"] = diag.get("moduli_mix_vs_w_support", 0) + 1
     else:

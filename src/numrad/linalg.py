@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadExponent, NoConvergence, NotHermitian, NotSquare
+from .errors import BadAlpha, BadExponent, NoConvergence, NotHermitian, NotSquare, NotUnit
 
 EPS = float(np.finfo(np.float64).eps)  # 2**-52
 
@@ -41,6 +41,20 @@ def require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise BadAlpha(f"alpha must lie in [0, 1], got {alpha}")
+    return alpha
+
+
+def check_unit(x) -> np.ndarray:
+    v = np.asarray(x, dtype=np.complex128).reshape(-1)
+    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        raise NotUnit(f"vector norm {np.linalg.norm(v):.12g} is not 1 within 1e-10")
+    return v
+
+
 def adjoint(m) -> np.ndarray:
     """Conjugate transpose M*."""
     return as_matrix(m).conj().T.copy()
@@ -50,7 +64,7 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def _eigh_desc(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigh_desc(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrize and decompose; eigenvalues descending, columns matching."""
     sym = (h + h.conj().T) / 2.0
     try:
@@ -60,7 +74,7 @@ def _eigh_desc(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
-def _herm_norm(h: np.ndarray) -> float:
+def herm_norm(h: np.ndarray) -> float:
     """Spectral norm of a (numerically) Hermitian matrix: max |eigenvalue|."""
     try:
         vals = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
@@ -90,44 +104,38 @@ def herm_eig(h, tol: float = 1e-10) -> HermitianEig:
     Raises NotHermitian when ||H - H*||_F exceeds tol * max(1, ||H||_F),
     and NoConvergence when the underlying solver gives up.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     a = require_square(as_matrix(h))
     scale = max(1.0, frobenius(a))
     if frobenius(a - a.conj().T) > tol * scale:
         raise NotHermitian(f"matrix is not Hermitian within tolerance {tol}")
-    vals, vecs = _eigh_desc(a)
+    vals, vecs = eigh_desc(a)
     return HermitianEig(vals, vecs)
 
 
 def spectral_norm(m) -> float:
     """Operator norm: largest singular value, sqrt(lambda_max(M* M))."""
-    a = as_matrix(m)
-    vals, _ = _eigh_desc(a.conj().T @ a)
-    return float(np.sqrt(max(float(vals[0]), 0.0)))
+    return float(singular_values(m)[0])
 
 
 def singular_values(m) -> np.ndarray:
     """Singular values, descending: square roots of eig(M* M) clamped at 0."""
     a = as_matrix(m)
-    vals, _ = _eigh_desc(a.conj().T @ a)
+    vals, _ = eigh_desc(a.conj().T @ a)
     return np.sqrt(np.clip(vals, 0.0, None))
-
-
-def _psd_sqrt(p: np.ndarray) -> np.ndarray:
-    vals, vecs = _eigh_desc(p)
-    roots = np.sqrt(np.clip(vals, 0.0, None))
-    out = (vecs * roots) @ vecs.conj().T
-    return (out + out.conj().T) / 2.0
 
 
 def polar_moduli(m) -> tuple[np.ndarray, np.ndarray]:
     """Polar moduli (|M|, |M*|) = ((M*M)^(1/2), (MM*)^(1/2)), both Hermitian PSD."""
     a = require_square(as_matrix(m))
-    return _psd_sqrt(a.conj().T @ a), _psd_sqrt(a @ a.conj().T)
+    return (
+        power_from_eig(*eigh_desc(a.conj().T @ a), 0.5),
+        power_from_eig(*eigh_desc(a @ a.conj().T), 0.5),
+    )
 
 
-def _power_from_eig(vals: np.ndarray, vecs: np.ndarray, r: float) -> np.ndarray:
+def power_from_eig(vals: np.ndarray, vecs: np.ndarray, r: float) -> np.ndarray:
     # 0**0 == 1 under np.power, which is the convention we want: the r -> 0
     # limit of t**r is 1 for t > 0 and the exponent-0 member of a power
     # family f(t) g(t) = t must act as the identity on the support.
@@ -148,7 +156,7 @@ def psd_power(p, r: float) -> np.ndarray:
     top = float(max(abs(eig.eigenvalues[0]), abs(eig.eigenvalues[-1])))
     if float(eig.eigenvalues[-1]) < -1e-10 * top:
         raise ValueError("matrix is not positive semidefinite within tolerance")
-    return _power_from_eig(eig.eigenvalues, eig.basis, float(r))
+    return power_from_eig(eig.eigenvalues, eig.basis, float(r))
 
 
 def cartesian_parts(m) -> tuple[np.ndarray, np.ndarray]:
@@ -169,6 +177,14 @@ class KernelComparison(NamedTuple):
     adjoint_kernel_dim: int
 
 
+def kernel_cutoff(tol: float | None, n: int) -> float:
+    """Relative singular value cutoff for numerical kernels (default n * 2**-52)."""
+    rel = float(tol) if tol is not None else n * EPS
+    if not rel > 0:
+        raise ValueError("tol must be positive")
+    return rel
+
+
 def kernels_equal(m, tol: float | None = None) -> KernelComparison:
     """Compare the numerical kernels of M and M*.
 
@@ -181,12 +197,14 @@ def kernels_equal(m, tol: float | None = None) -> KernelComparison:
     kernels are equivalent to equal ranges of M and M*.
     """
     a = require_square(as_matrix(m))
-    n = a.shape[0]
-    rel = float(tol) if tol is not None else n * EPS
-    if rel <= 0:
-        raise ValueError("tol must be positive")
-    gvals, gvecs = _eigh_desc(a.conj().T @ a)
-    cvals, cvecs = _eigh_desc(a @ a.conj().T)
+    rel = kernel_cutoff(tol, a.shape[0])
+    return compare_kernels(eigh_desc(a.conj().T @ a), eigh_desc(a @ a.conj().T), rel)
+
+
+def compare_kernels(gram_eig, cogram_eig, rel: float) -> KernelComparison:
+    """kernels_equal from the descending eigensystems of M*M and MM*."""
+    (gvals, gvecs), (cvals, cvecs) = gram_eig, cogram_eig
+    n = gvals.size
     sigma = np.sqrt(np.clip(gvals, 0.0, None))
     sigma_star = np.sqrt(np.clip(cvals, 0.0, None))
     smax = float(max(sigma[0], sigma_star[0]))

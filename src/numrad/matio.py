@@ -76,7 +76,10 @@ def _parse_json(source: str) -> np.ndarray:
             or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in pair)
         ):
             raise ParseError(f"entry {i} must be a two-element array [re, im]")
-        flat[i] = complex(pair[0], pair[1])
+        try:
+            flat[i] = complex(pair[0], pair[1])
+        except OverflowError as exc:
+            raise ParseError(f"entry {i} is too large for a float") from exc
     return as_matrix(flat.reshape(n, m))
 
 

@@ -96,15 +96,14 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
     round cap is hit (Timeout).  Deterministic: ties in the running
     maximum are resolved toward the smallest angle.
     """
-    if float(tol) < 1e-12:
-        raise ValueError("tol must be at least 1e-12")
     tol = float(tol)
+    if not tol >= 1e-12:
+        raise ValueError("tol must be at least 1e-12")
     a = require_square(as_matrix(t))
     n = a.shape[0]
     nrm = spectral_norm(a)
     if nrm == 0.0:
-        e1 = np.zeros(n, dtype=np.complex128)
-        e1[0] = 1.0
+        e1 = np.eye(1, n, dtype=np.complex128)[0]
         return RadiusBracket(0.0, 0.0, 0.0, e1)
 
     re, im = cartesian_parts(a)

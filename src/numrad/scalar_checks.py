@@ -14,8 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadExponent, NotUnit
-from .linalg import _eigh_desc, _power_from_eig, as_matrix, psd_power, require_square
+from .errors import BadExponent
+from .linalg import as_matrix, check_unit, eigh_desc, power_from_eig, psd_power, require_square
+from .workspace import Workspace
 
 SLACK_FLOOR = -1e-9
 
@@ -27,13 +28,6 @@ class ScalarChecks(NamedTuple):
     buzano: bool
 
 
-def _unit(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise NotUnit(f"vector norm {np.linalg.norm(v):.12g} is not 1 within 1e-10")
-    return v
-
-
 def _quad(h: np.ndarray, v: np.ndarray) -> float:
     return float(np.vdot(v, h @ v).real)
 
@@ -43,9 +37,9 @@ def hoelder_mccarthy_slack(p, x, s: float) -> float:
     if s < 1.0:
         raise BadExponent(f"exponent must be >= 1, got {s}")
     a = require_square(as_matrix(p))
-    v = _unit(x)
-    vals, vecs = _eigh_desc(a)
-    powered = _power_from_eig(vals, vecs, float(s))
+    v = check_unit(x)
+    vals, vecs = eigh_desc(a)
+    powered = power_from_eig(vals, vecs, float(s))
     return _quad(powered, v) - _quad(a, v) ** s
 
 
@@ -64,29 +58,24 @@ def scalar_inequality_checks(t, x, y, r: float) -> ScalarChecks:
     rr = float(r)
     if not 0.0 <= rr <= 1.0:
         raise BadExponent(f"exponent must lie in [0, 1], got {r}")
-    a = require_square(as_matrix(t))
-    vx, vy = _unit(x), _unit(y)
-
-    gram = a.conj().T @ a
-    cogram = a @ a.conj().T
-    gvals, gvecs = _eigh_desc(gram)
-    cvals, cvecs = _eigh_desc(cogram)
+    ws = Workspace.of(t)
+    a = ws.a
+    vx, vy = check_unit(x), check_unit(y)
 
     lhs = abs(np.vdot(vy, a @ vx)) ** 2
 
     # Kato route: powers of the moduli squares, |T|^{2r} = (T*T)^r.
-    mod_2r = _power_from_eig(gvals, gvecs, rr)
-    comod_2s = _power_from_eig(cvals, cvecs, 1.0 - rr)
+    mod_2r = ws.mod_power(2.0 * rr)
+    comod_2s = ws.comod_power(2.0 * (1.0 - rr))
     kato = _quad(mod_2r, vx) * _quad(comod_2s, vy) - lhs >= SLACK_FLOOR
 
     # Function-pair route: square f(|T|) and g(|T*|) as matrices.
-    abs_t = _power_from_eig(gvals, gvecs, 0.5)
-    abs_t_star = _power_from_eig(cvals, cvecs, 0.5)
+    abs_t, abs_t_star = ws.abs_t, ws.abs_t_star
     f_mat = psd_power(abs_t, rr)
     g_mat = psd_power(abs_t_star, 1.0 - rr)
     kittaneh = _quad(f_mat @ f_mat, vx) * _quad(g_mat @ g_mat, vy) - lhs >= SLACK_FLOOR
 
-    mccarthy = _quad(gram, vx) - _quad(abs_t, vx) ** 2 >= SLACK_FLOOR
+    mccarthy = _quad(a.conj().T @ a, vx) - _quad(abs_t, vx) ** 2 >= SLACK_FLOOR
 
     u = abs_t_star @ vx
     v = abs_t @ vx

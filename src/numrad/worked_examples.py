@@ -17,6 +17,7 @@ import numpy as np
 from .abnormal import ab_certify
 from .bounds import bound_th4_impr1, gamma_delta
 from .ensembles import make_nilpotent_shift
+from .workspace import Workspace
 
 CLOSED_FORM_TOL = 1e-9
 
@@ -32,45 +33,34 @@ def paper_examples(tol: float = CLOSED_FORM_TOL) -> tuple[list[dict], bool]:
     """
     rows: list[dict] = []
 
-    def closed(case: str, quantity: str, computed: float, expected: float):
+    def row(case: str, quantity: str, computed: float, expected: float, strict: bool = False):
+        computed, expected = float(computed), float(expected)
         rows.append(
             {
                 "case": case,
                 "quantity": quantity,
-                "computed": float(computed),
-                "expected": float(expected),
-                "error": abs(float(computed) - float(expected)),
-                "comparison": "abs-error",
-                "ok": bool(abs(float(computed) - float(expected)) <= tol),
+                "computed": computed,
+                "expected": expected,
+                "error": expected - computed if strict else abs(computed - expected),
+                "comparison": "strictly-below" if strict else "abs-error",
+                "ok": computed < expected if strict else abs(computed - expected) <= tol,
             }
         )
 
-    def strict(case: str, quantity: str, computed: float, expected: float):
-        rows.append(
-            {
-                "case": case,
-                "quantity": quantity,
-                "computed": float(computed),
-                "expected": float(expected),
-                "error": float(expected) - float(computed),
-                "comparison": "strictly-below",
-                "ok": bool(float(computed) < float(expected)),
-            }
-        )
+    shift3 = Workspace(SHIFT_3)
+    gamma, delta, _, _ = gamma_delta(shift3)
+    row("shift3", "gamma_sq", gamma**2, 28.0 / 13.0)
+    row("shift3", "delta", delta, 1.5)
+    row("shift3", "min_gamma_delta_sq", min(gamma**2, delta**2), 28.0 / 13.0)
+    row("shift3", "refines_re_cross_form", min(gamma**2, delta**2), 9.0 / 4.0, strict=True)
 
-    gamma, delta, _, _ = gamma_delta(SHIFT_3)
-    closed("shift3", "gamma_sq", gamma**2, 28.0 / 13.0)
-    closed("shift3", "delta", delta, 1.5)
-    closed("shift3", "min_gamma_delta_sq", min(gamma**2, delta**2), 28.0 / 13.0)
-    strict("shift3", "refines_re_cross_form", min(gamma**2, delta**2), 9.0 / 4.0)
-
-    inner, _, impr1 = bound_th4_impr1(SHIFT_3)
-    closed("shift3", "moduli_mix_min", inner, 4.0 / 3.0)
-    closed("shift3", "impr1", impr1, math.sqrt(8.0 / 3.0))
-    strict("shift3", "refines_operator_norm", impr1, 2.0)
+    inner, _, impr1 = bound_th4_impr1(shift3)
+    row("shift3", "moduli_mix_min", inner, 4.0 / 3.0)
+    row("shift3", "impr1", impr1, math.sqrt(8.0 / 3.0))
+    row("shift3", "refines_operator_norm", impr1, 2.0, strict=True)
 
     cert = ab_certify(LOWER_TRIANGULAR_2)
-    closed("lower2", "alpha_best_sq", cert.alpha_best**2, (3.0 - math.sqrt(5.0)) / 2.0)
-    closed("lower2", "beta_best_sq", cert.beta_best**2, (3.0 + math.sqrt(5.0)) / 2.0)
+    row("lower2", "alpha_best_sq", cert.alpha_best**2, (3.0 - math.sqrt(5.0)) / 2.0)
+    row("lower2", "beta_best_sq", cert.beta_best**2, (3.0 + math.sqrt(5.0)) / 2.0)
 
     return rows, all(r["ok"] for r in rows)

@@ -264,7 +264,8 @@ class TestMinimizationQuality:
             gamma, delta, _, _ = gamma_delta(a)
             pp0_val, _ = pp0_min(a)
             inner, _, _ = bound_th4_impr1(a)
-            from numrad.bounds import _herm_norm, _Workspace
+            from numrad.linalg import herm_norm as _herm_norm
+            from numrad.workspace import Workspace as _Workspace
 
             ws = _Workspace(a)
             rc = ws.re_cross_norm
@@ -283,7 +284,8 @@ class TestMinimizationQuality:
                 assert inner <= _herm_norm(al * ws.abs_t + (1 - al) * ws.abs_t_star) + 1e-8
 
     def test_rem1_chain(self, rng):
-        from numrad.bounds import _herm_norm, _Workspace
+        from numrad.linalg import herm_norm as _herm_norm
+        from numrad.workspace import Workspace as _Workspace
 
         for n in (2, 3, 4):
             a = random_complex(rng, n)

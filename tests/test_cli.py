@@ -196,6 +196,18 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    def test_nan_tol_is_two(self, capsys, t2_file):
+        code, _, err = run_cli(capsys, "radius", t2_file, "--tol", "nan")
+        assert code == 2
+        assert "tol" in err
+
+    def test_oversized_integer_is_two(self, capsys, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text('{"n":1,"m":2,"entries":[[1' + "0" * 400 + ',0],[0,0]]}')
+        code, _, err = run_cli(capsys, "radius", str(big))
+        assert code == 2
+        assert "error" in err
+
     def test_missing_file_is_two(self, capsys):
         code, _, _ = run_cli(capsys, "radius", "/nonexistent/x.json")
         assert code == 2

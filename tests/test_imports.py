@@ -1,0 +1,67 @@
+"""No numrad module reaches into another numrad module's private names."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "numrad"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _dotted(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def private_accesses(source: str) -> list[str]:
+    """`from .mod import _x` imports and `mod._x` accesses to numrad modules."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = node.module or ""
+            if node.level == 0 and package.split(".")[0] != "numrad":
+                continue
+            for alias in node.names:
+                if _private(alias.name):
+                    where = "." * node.level + package
+                    found.append(f"line {node.lineno}: from {where} import {alias.name}")
+                elif package in ("", "numrad"):
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numrad":
+                    modules.add(alias.asname or "numrad")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            base = _dotted(node.value)
+            if base is not None and base.split(".")[0] in modules:
+                found.append(f"line {node.lineno}: {base}.{node.attr}")
+    return found
+
+
+def test_checker_catches_both_forms():
+    source = (
+        "from . import bounds\n"
+        "from .linalg import _eigh_desc\n"
+        "import numrad.radius as rad\n"
+        "x = bounds._Workspace\n"
+        "y = rad._EVAL_CHUNK\n"
+        "z = self._own\n"
+    )
+    assert len(private_accesses(source)) == 3
+
+
+def test_no_private_cross_module_access():
+    offences = {
+        path.name: found
+        for path in sorted(SRC.glob("*.py"))
+        if (found := private_accesses(path.read_text(encoding="utf-8")))
+    }
+    assert offences == {}

@@ -69,6 +69,10 @@ class TestHermEig:
         with pytest.raises(NotHermitian):
             herm_eig([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_nan_tol_cannot_skip_the_hermitian_check(self):
+        with pytest.raises(ValueError):
+            herm_eig([[0.0, 1.0], [0.0, 0.0]], float("nan"))
+
 
 class TestSpectralNorm:
     def test_shift3(self):
@@ -190,3 +194,8 @@ class TestKernelsEqual:
     def test_normal_with_kernel(self):
         cmp = kernels_equal(np.diag([0.0, 1.0]))
         assert cmp.equal and cmp.kernel_dim == 1 and cmp.adjoint_kernel_dim == 1
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_tol(self, tol):
+        with pytest.raises(ValueError):
+            kernels_equal(T2, tol)

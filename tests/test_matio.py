@@ -39,6 +39,10 @@ class TestJsonFormat:
         with pytest.raises(ValueError):
             parse_matrix('{"n":1,"m":1,"entries":[[1e400,0]]}')
 
+    def test_oversized_integer_is_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_matrix('{"n":1,"m":2,"entries":[[1' + "0" * 400 + ',0],[0,0]]}')
+
 
 class TestTextFormat:
     def test_spec_example(self):

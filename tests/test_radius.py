@@ -135,6 +135,10 @@ class TestNumericalRadius:
         with pytest.raises(ValueError):
             numerical_radius(T2, 1e-13)
 
+    def test_rejects_nan_tol(self):
+        with pytest.raises(ValueError):
+            numerical_radius(T2, float("nan"))
+
     def test_round_cap_raises_timeout(self, monkeypatch):
         import numrad.radius as radius_mod
         from numrad import Timeout

@@ -1,0 +1,108 @@
+"""One workspace per matrix: shared results equal the bare-matrix calls,
+and each catalog objective is minimized once."""
+
+import numpy as np
+import pytest
+
+import numrad.bounds as bounds_mod
+from numrad import (
+    FuzzConfig,
+    Workspace,
+    ab_certify,
+    alpha_norm_estimate,
+    bound_report,
+    bound_th3_family,
+    bound_th4_impr1,
+    eqn5_and_classics,
+    fuzz,
+    gamma_delta,
+    lower_general,
+    lower_th5,
+    pp0_min,
+)
+from numrad.linalg import eigh_desc
+from numrad.worked_examples import LOWER_TRIANGULAR_2 as T2, SHIFT_3 as T3
+
+from conftest import random_complex
+
+MATRICES = [T3, T2] + [
+    random_complex(np.random.default_rng(seed), n) for seed, n in ((11, 2), (12, 3), (13, 4))
+]
+IDS = ["shift3", "lower2", "random2", "random3", "random4"]
+
+
+@pytest.fixture
+def golden_calls(monkeypatch):
+    calls = []
+    original = bounds_mod.golden_section
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bounds_mod, "golden_section", counting)
+    return calls
+
+
+class TestSingleComputation:
+    def test_report_minimizes_each_objective_once(self, golden_calls):
+        bound_report(MATRICES[3], 1e-9)
+        assert len(golden_calls) == 6
+
+    def test_fuzz_cell_reads_the_report(self, golden_calls):
+        fuzz(FuzzConfig(dims=(3,), trials=1, ensembles=("ginibre",), seed=4))
+        assert len(golden_calls) == 6
+
+    def test_lower_bound_needs_only_the_gram_eigensystem(self):
+        ws = Workspace(T2)
+        lower_th5(ws, ab_certify(T2))
+        assert "gram_eig" in vars(ws)
+        assert "cogram_eig" not in vars(ws)
+
+    def test_gram_eigensystem_is_the_plain_decomposition(self):
+        a = MATRICES[4]
+        ws = Workspace(a)
+        for (v1, u1), (v2, u2) in (
+            (ws.gram_eig, eigh_desc(a.conj().T @ a)),
+            (ws.cogram_eig, eigh_desc(a @ a.conj().T)),
+        ):
+            assert np.array_equal(v1, v2) and np.array_equal(u1, u2)
+
+
+@pytest.mark.parametrize("m", MATRICES, ids=IDS)
+def test_views_equal_report_rows(m):
+    report = bound_report(m, 1e-9)
+    rows = {e.bound_id: e for e in report.entries}
+
+    def row(bound_id):
+        return rows[bound_id].value, rows[bound_id].alpha_at
+
+    gamma, delta, a_g, a_d = gamma_delta(m)
+    assert (gamma, a_g) == row("COR1_GAMMA")
+    assert (delta, a_d) == row("COR1_DELTA")
+    assert pp0_min(m) == row("PP0") == row("TH2")
+    assert bound_th3_family(m, rows["TH3"].alpha_at)[0] == rows["TH3"].value
+    assert bound_th3_family(m, rows["COR3"].alpha_at)[1] == rows["COR3"].value
+    assert bound_th3_family(m, 1.0)[0] == rows["EQN5"].value
+    assert eqn5_and_classics(m) == tuple(
+        rows[i].value for i in ("EQN5", "KITTANEH_SUM", "KITTANEH_MODULI")
+    )
+    inner, a4, impr1 = bound_th4_impr1(m)
+    assert (inner * report.norm, a4) == row("TH4")
+    assert (impr1, a4) == row("IMPR1")
+    assert report.minima["moduli_mix"] == (a4, inner)
+    assert lower_general(m) == (rows["LOW1"].value, rows["LOW4"].value)
+
+
+@pytest.mark.parametrize("m", MATRICES, ids=IDS)
+def test_workspace_calls_equal_bare_matrix_calls(m):
+    ws = Workspace(m)
+    for alpha in (0.0, 0.5, 1.0):
+        shared = alpha_norm_estimate(ws, alpha, restarts=3)
+        bare = alpha_norm_estimate(m, alpha, restarts=3)
+        assert shared.best_value == bare.best_value
+        assert shared.upper_cert == bare.upper_cert
+        assert np.array_equal(shared.best_vector, bare.best_vector)
+    shared, bare = ab_certify(ws), ab_certify(m)
+    for field in shared.__dataclass_fields__:
+        assert np.array_equal(getattr(shared, field), getattr(bare, field)), field
