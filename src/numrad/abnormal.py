@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotABNormal
-from .linalg import compare_kernels, eigh_desc, herm_norm, kernel_cutoff, phase_normalize
+from .linalg import compare_kernels, eigh_desc, kernel_cutoff, phase_normalize
 from .workspace import Workspace
 
 
@@ -116,8 +116,8 @@ def lower_th5(t, cert: ABNormalCertificate) -> float:
     a lower bound on w(T) for certified matrices."""
     factor = _factor(cert)
     ws = Workspace.of(t)
-    re, im = ws.re_im
-    spread = abs(herm_norm(re) ** 2 - herm_norm(im) ** 2)
+    re_norm, im_norm = ws.re_im_norms
+    spread = abs(re_norm**2 - im_norm**2)
     return math.sqrt(factor * ws.norm**2 / 4.0 + spread / 2.0)
 
 
@@ -126,8 +126,8 @@ def lower_th6(t, cert: ABNormalCertificate) -> float:
     | ||Re+Im||^2 - ||Re-Im||^2 | / 4 under the square root."""
     factor = _factor(cert)
     ws = Workspace.of(t)
-    re, im = ws.re_im
-    spread = abs(herm_norm(re + im) ** 2 - herm_norm(re - im) ** 2)
+    plus_norm, minus_norm = ws.rotated_norms
+    spread = abs(plus_norm**2 - minus_norm**2)
     return math.sqrt(factor * ws.norm**2 / 4.0 + spread / 4.0)
 
 

@@ -7,10 +7,17 @@ The objective
 interpolates between the squared operator norm (alpha = 0) and the
 squared numerical radius (alpha = 1); its supremum over the sphere is
 the squared alpha-norm.  The objective is non-convex, so the estimate
-is reported as a sandwich: the best projected-ascent limit over
-multistarts (a guaranteed lower bound) together with a certified upper
-bound assembled from the bound catalog.  Never trust best_value as a
-point value for the supremum.
+is reported as a sandwich: the best ascent limit over multistarts (a
+guaranteed lower bound) together with a certified upper bound assembled
+from the bound catalog.  Never trust best_value as a point value for
+the supremum.
+
+The ascent is minorize-maximize.  With c = <Tx, x> at the current x,
+|<Ty, y>|^2 >= 2 Re(conj(c) <Ty, y>) - |c|^2, so for every unit y
+
+    F(y) >= <M(c)y, y> - alpha |c|^2,  M(c) = alpha (conj(c) T + c T*) + (1 - alpha) T*T,
+
+with equality at y = x; M(c)x is also the ambient gradient of F at x.
 """
 
 from __future__ import annotations
@@ -21,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bound_th1, bound_th2
-from .linalg import check_alpha, check_unit, phase_normalize
+from .linalg import check_alpha, check_unit, eigh_desc, phase_normalize
 from .radius import numerical_radius
 from .workspace import Workspace
 
-ARMIJO_C = 1e-4
 GRAD_TOL = 1e-10
 MAX_STEPS = 500
 _WITNESS_TOL = 1e-9
@@ -41,71 +47,68 @@ class AlphaNormEstimate:
     upper_cert: float
 
 
+def _value(a: np.ndarray, alpha: float, x: np.ndarray) -> tuple[float, complex]:
+    """(F(x), <Tx, x>) for a unit vector x."""
+    tx = a @ x
+    c = np.vdot(x, tx)
+    f = alpha * (c.real * c.real + c.imag * c.imag) + (1.0 - alpha) * np.vdot(tx, tx).real
+    return float(f), c
+
+
+def _apply_surrogate(a: np.ndarray, alpha: float, c: complex, y: np.ndarray) -> np.ndarray:
+    """M(c) y for a vector or a block of columns y, without forming M(c)."""
+    ah = a.conj().T
+    ty = a @ y
+    return alpha * (np.conj(c) * ty + c * (ah @ y)) + (1.0 - alpha) * (ah @ ty)
+
+
+def _tangent(a: np.ndarray, alpha: float, c: complex, x: np.ndarray) -> np.ndarray:
+    g = _apply_surrogate(a, alpha, c, x)
+    return g - np.vdot(x, g) * x
+
+
 def alpha_objective(t, alpha: float, x) -> float:
     """alpha |<Tx, x>|^2 + (1 - alpha) ||Tx||^2 for a unit vector x."""
-    alpha = check_alpha(alpha)
-    a = Workspace.of(t).a
-    v = check_unit(x)
-    tv = a @ v
-    c = np.vdot(v, tv)
-    return float(alpha * abs(c) ** 2 + (1.0 - alpha) * float(np.linalg.norm(tv)) ** 2)
+    return _value(Workspace.of(t).a, check_alpha(alpha), check_unit(x))[0]
 
 
 def alpha_gradient(t, alpha: float, x) -> np.ndarray:
     """Sphere-tangent ascent direction of the objective at x.
 
     With c = <Tx, x>, the ambient conjugate-coordinate gradient is
-    g = alpha (conj(c) Tx + c T*x) + (1 - alpha) T*Tx; the tangent part
-    g - <g, x> x is returned.  The directional derivative of the
-    objective along the result equals twice its squared norm.
+    g = M(c)x; the tangent part g - <g, x> x is returned.  The directional
+    derivative of the objective along the result equals twice its squared norm.
     """
     alpha = check_alpha(alpha)
     a = Workspace.of(t).a
     v = check_unit(x)
-    tv = a @ v
-    c = np.vdot(v, tv)
-    g = alpha * (np.conj(c) * tv + c * (a.conj().T @ v)) + (1.0 - alpha) * (
-        a.conj().T @ tv
-    )
-    return g - np.vdot(v, g) * v
+    return _tangent(a, alpha, _value(a, alpha, v)[1], v)
 
 
 def _ascend(a: np.ndarray, alpha: float, x0: np.ndarray) -> tuple[float, np.ndarray]:
-    """Projected gradient ascent with Armijo backtracking, renormalizing
-    to the sphere each step.  Stops at tangent norm <= 1e-10 or 500 steps."""
-    ah = a.conj().T
-    rest = 1.0 - alpha
+    """Minorize-maximize ascent from x0; returns (F(x), x) at its limit.
 
-    def parts(v: np.ndarray):
-        tv = a @ v
-        c = np.vdot(v, tv)
-        val = alpha * (c.real * c.real + c.imag * c.imag) + rest * np.vdot(tv, tv).real
-        return float(val), tv, c
-
+    A step moves to the unit y in span(x, t, s) that maximizes <M(c)y, y>:
+    Q times the top eigenvector of the 3x3 matrix Q* M(c) Q, Q an
+    orthonormal basis, t the tangent part of M(c)x, s the previous step
+    (zero at first).  x is in the span, so F(y) >= <M(c)y, y> - alpha |c|^2
+    >= <M(c)x, x> - alpha |c|^2 = F(x): no step lowers F or needs a step
+    size.  Stops at tangent norm <= GRAD_TOL, when F stops strictly
+    rising, or after MAX_STEPS steps.
+    """
     x = x0 / math.sqrt(np.vdot(x0, x0).real)
-    f, tx, c = parts(x)
-    step = 1.0
+    f, c = _value(a, alpha, x)
+    s = np.zeros_like(x)
     for _ in range(MAX_STEPS):
-        g = alpha * (np.conj(c) * tx + c * (ah @ x)) + rest * (ah @ tx)
-        tang = g - np.vdot(x, g) * x
-        tn2 = float(np.vdot(tang, tang).real)
-        if tn2 <= GRAD_TOL * GRAD_TOL:
+        t = _tangent(a, alpha, c, x)
+        if np.vdot(t, t).real <= GRAD_TOL * GRAD_TOL:
             break
-        deriv = 2.0 * tn2
-        s = step
-        accepted = False
-        for _ in range(60):
-            cand = x + s * tang
-            cand = cand / math.sqrt(np.vdot(cand, cand).real)
-            fc, tvc, cc = parts(cand)
-            if fc >= f + ARMIJO_C * s * deriv:
-                x, f, tx, c = cand, fc, tvc, cc
-                step = min(s * 2.0, 1e8)
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
+        q = np.linalg.qr(np.stack([x, t, s], axis=1))[0]
+        y = q @ eigh_desc(q.conj().T @ _apply_surrogate(a, alpha, c, q))[1][:, 0]
+        fy, cy = _value(a, alpha, y)
+        if not fy > f:
             break
+        x, s, f, c = y, y - x, fy, cy
     return f, x
 
 
@@ -133,35 +136,25 @@ def alpha_norm_estimate(
     ws = Workspace.of(t)
     a = ws.a
     n = a.shape[0]
-    nrm = ws.norm
-    if nrm == 0.0:
+    if ws.norm == 0.0:
         e1 = np.eye(1, n, dtype=np.complex128)[0]
         return AlphaNormEstimate(alpha, 0.0, e1, 0.0)
 
-    starts: list[np.ndarray] = []
-    starts.append(ws.gram_eig[1][:, 0])
+    starts = [ws.gram_eig[1][:, 0]]
     if restarts >= 2:
-        witness = radius_witness
-        if witness is None:
-            witness = numerical_radius(a, _WITNESS_TOL).witness
-        starts.append(np.asarray(witness, dtype=np.complex128).reshape(-1))
+        if radius_witness is None:
+            radius_witness = numerical_radius(a, _WITNESS_TOL).witness
+        starts.append(np.asarray(radius_witness, dtype=np.complex128).reshape(-1))
     rng = np.random.default_rng(seed)
     while len(starts) < restarts:
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         starts.append(v / np.linalg.norm(v))
 
-    best_f = -1.0
-    best_x = starts[0]
-    for x0 in starts:
-        f, x = _ascend(a, alpha, x0)
-        if f > best_f:
-            best_f, best_x = f, x
+    best_f, best_x = max((_ascend(a, alpha, x0) for x0 in starts), key=lambda fx: fx[0])
 
-    upper = min(
-        nrm,
-        math.sqrt(max(bound_th2(ws, alpha), 0.0)),
-        math.sqrt(max(bound_th1(ws, alpha, 0.5), 0.0)),
-    )
+    # The square root is monotone, so one root of the smaller w^2 bound serves both.
+    squared = min(bound_th2(ws, alpha), bound_th1(ws, alpha, 0.5))
+    upper = min(ws.norm, math.sqrt(max(squared, 0.0)))
     return AlphaNormEstimate(
         alpha=alpha,
         best_value=math.sqrt(max(best_f, 0.0)),

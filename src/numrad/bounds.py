@@ -134,11 +134,6 @@ def _th1(ws: Workspace, alpha: float, r: float) -> float:
     return main + (alpha / 2.0) * herm_norm(re_cross)
 
 
-def _low4(ws: Workspace) -> float:
-    re, im = ws.re_im
-    return max(herm_norm(re + im), herm_norm(re - im)) / math.sqrt(2.0)
-
-
 # The catalog in report order, one row per bound: (id, kind, source, arg).
 # The source says how the value is obtained:
 #   "alpha-min"   the minimum of the objective named arg; alpha_at is its argmin
@@ -166,8 +161,8 @@ CATALOG = (
     ("KITTANEH_MODULI", KIND_UPPER_W, "fixed", lambda ws: 0.5 * herm_norm(ws.abs_t + ws.abs_t_star)),
     ("TH4", KIND_UPPER_W2, "norm-times", "moduli_mix"),
     ("IMPR1", KIND_UPPER_W, "sqrt-of", "TH4"),
-    ("LOW1", KIND_LOWER_W, "fixed", lambda ws: max(map(herm_norm, ws.re_im))),
-    ("LOW4", KIND_LOWER_W, "fixed", _low4),
+    ("LOW1", KIND_LOWER_W, "fixed", lambda ws: max(ws.re_im_norms)),
+    ("LOW4", KIND_LOWER_W, "fixed", lambda ws: max(ws.rotated_norms) / math.sqrt(2.0)),
 )
 
 BOUND_IDS = tuple(row[0] for row in CATALOG)

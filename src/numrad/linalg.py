@@ -178,10 +178,10 @@ class KernelComparison(NamedTuple):
 
 
 def kernel_cutoff(tol: float | None, n: int) -> float:
-    """Relative singular value cutoff for numerical kernels (default n * 2**-52)."""
+    """Relative singular value cutoff in (0, 1) for numerical kernels (default n * 2**-52)."""
     rel = float(tol) if tol is not None else n * EPS
-    if not rel > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < rel < 1:
+        raise ValueError("tol must lie in (0, 1)")
     return rel
 
 

@@ -38,13 +38,13 @@ class Workspace:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        a = self.a
-        return (a.conj().T @ a + (a.conj().T @ a).conj().T) / 2.0
+        g = self.a.conj().T @ self.a
+        return (g + g.conj().T) / 2.0
 
     @cached_property
     def cogram(self) -> np.ndarray:
-        a = self.a
-        return (a @ a.conj().T + (a @ a.conj().T).conj().T) / 2.0
+        g = self.a @ self.a.conj().T
+        return (g + g.conj().T) / 2.0
 
     @cached_property
     def gram_eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -67,12 +67,12 @@ class Workspace:
     def mod_power(self, e: float) -> np.ndarray:
         """|T|**e via the Gram eigenbasis (exponent may exceed 1)."""
         vals, vecs = self.gram_eig
-        return power_from_eig(np.clip(vals, 0.0, None), vecs, e / 2.0)
+        return power_from_eig(vals, vecs, e / 2.0)
 
     def comod_power(self, e: float) -> np.ndarray:
         """|T*|**e via the co-Gram eigenbasis."""
         vals, vecs = self.cogram_eig
-        return power_from_eig(np.clip(vals, 0.0, None), vecs, e / 2.0)
+        return power_from_eig(vals, vecs, e / 2.0)
 
     @cached_property
     def abs_t(self) -> np.ndarray:
@@ -85,6 +85,17 @@ class Workspace:
     @cached_property
     def re_im(self) -> tuple[np.ndarray, np.ndarray]:
         return cartesian_parts(self.a)
+
+    @cached_property
+    def re_im_norms(self) -> tuple[float, float]:
+        """(||Re T||, ||Im T||)."""
+        return tuple(map(herm_norm, self.re_im))
+
+    @cached_property
+    def rotated_norms(self) -> tuple[float, float]:
+        """(||Re T + Im T||, ||Re T - Im T||)."""
+        re, im = self.re_im
+        return herm_norm(re + im), herm_norm(re - im)
 
     @cached_property
     def re_cross(self) -> np.ndarray:

@@ -10,7 +10,9 @@ from numrad import (
     alpha_norm_estimate,
     alpha_objective,
     numerical_radius,
+    random_matrix,
     spectral_norm,
+    stream_rng,
 )
 from numrad.alpha_norm import _ascend
 from numrad.worked_examples import LOWER_TRIANGULAR_2 as T2, SHIFT_3 as T3
@@ -94,6 +96,19 @@ class TestGradient:
         est = alpha_norm_estimate(T2, 0.5, restarts=8, seed=3)
         g = alpha_gradient(T2, 0.5, est.best_vector)
         assert np.linalg.norm(g) <= 1e-6
+
+    def test_estimate_ends_at_a_stationary_point(self):
+        # The Ginibre matrices of acceptance criterion 5's stream; the
+        # nilpotent shifts are left out because their maximum is degenerate.
+        for dim in (2, 3, 4, 5, 6):
+            for trial in range(20):
+                a = random_matrix("ginibre", dim, stream_rng(42, 0, dim, trial))
+                witness = numerical_radius(a, 1e-7).witness
+                scale = max(1.0, spectral_norm(a) ** 2)
+                for alpha in (0.25, 0.5, 0.75):
+                    est = alpha_norm_estimate(a, alpha, restarts=2, radius_witness=witness)
+                    g = alpha_gradient(a, alpha, est.best_vector)
+                    assert np.linalg.norm(g) <= 1e-6 * scale, (dim, trial, alpha)
 
     def test_finite_difference_match(self):
         # directional derivative along the returned tangent equals twice

@@ -1,9 +1,15 @@
-"""No numrad module reaches into another numrad module's private names."""
+"""No numrad module reaches into another numrad module's private names,
+and every numrad name the benchmark's traced run hooks exists."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "numrad"
+import numrad
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "numrad"
 
 
 def _private(name: str) -> bool:
@@ -65,3 +71,16 @@ def test_no_private_cross_module_access():
         if (found := private_accesses(path.read_text(encoding="utf-8")))
     }
     assert offences == {}
+
+
+def test_benchmark_hooks_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{name}"
+        for module, name in tracing.TRACED
+        if not callable(getattr(importlib.import_module(f"numrad.{module}"), name, None))
+    ]
+    assert missing == []
+    assert numrad.fuzzing.DEFAULT_PROPERTIES

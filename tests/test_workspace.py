@@ -18,6 +18,7 @@ from numrad import (
     gamma_delta,
     lower_general,
     lower_th5,
+    lower_th6,
     pp0_min,
 )
 from numrad.linalg import eigh_desc
@@ -58,6 +59,22 @@ class TestSingleComputation:
         lower_th5(ws, ab_certify(T2))
         assert "gram_eig" in vars(ws)
         assert "cogram_eig" not in vars(ws)
+
+    def test_lower_bounds_reuse_the_report_cartesian_norms(self, monkeypatch):
+        ws = Workspace(MATRICES[3])
+        cert = ab_certify(ws)
+        bound_report(ws)
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        lower_th5(ws, cert)
+        lower_th6(ws, cert)
+        assert calls == []
 
     def test_gram_eigensystem_is_the_plain_decomposition(self):
         a = MATRICES[4]
