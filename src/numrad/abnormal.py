@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NotABNormal
 from .linalg import compare_kernels, eigh_desc, kernel_cutoff, phase_normalize
-from .workspace import Workspace
+from .radius import Workspace
 
 
 @dataclass(frozen=True)
@@ -54,25 +54,19 @@ def ab_certify(t, tol: float | None = None) -> ABNormalCertificate:
     alpha_best 0 rather than a degenerate pair.
     """
     ws = Workspace.of(t)
-    a = ws.a
-    n = a.shape[0]
+    n = ws.a.shape[0]
     rel = kernel_cutoff(tol, n)
     comparison = compare_kernels(ws.gram_eig, ws.cogram_eig, rel)
 
-    gvecs = ws.gram_eig[1]
-    sigma = ws.sigma
-    smax = ws.norm
-    e1 = np.eye(1, n, dtype=np.complex128)[0]
-    if smax == 0.0:
+    if ws.norm == 0.0:
         # The zero matrix is normal: both defining inequalities are 0 <= 0.
+        e1 = np.eye(1, n, dtype=np.complex128)[0]
         return ABNormalCertificate(1.0, 1.0, True, True, e1, e1, 1.0, 1.0)
 
-    keep = sigma > rel * smax
-    v = gvecs[:, keep]
-    sk = sigma[keep]
-    cogram = a @ a.conj().T
-    projected = v.conj().T @ cogram @ v
-    pencil = projected / np.outer(sk, sk)
+    keep = ws.sigma > rel * ws.norm
+    v = ws.gram_eig[1][:, keep]
+    sk = ws.sigma[keep]
+    pencil = (v.conj().T @ ws.cogram @ v) / np.outer(sk, sk)
     mu, y = eigh_desc(pencil)
     mu = np.clip(mu, 0.0, None)
     raw_max = math.sqrt(float(mu[0]))

@@ -29,8 +29,7 @@ import numpy as np
 
 from .bounds import bound_th1, bound_th2
 from .linalg import check_alpha, check_unit, eigh_desc, phase_normalize
-from .radius import numerical_radius
-from .workspace import Workspace
+from .radius import Workspace, numerical_radius
 
 GRAD_TOL = 1e-10
 MAX_STEPS = 500
@@ -143,7 +142,7 @@ def alpha_norm_estimate(
     starts = [ws.gram_eig[1][:, 0]]
     if restarts >= 2:
         if radius_witness is None:
-            radius_witness = numerical_radius(a, _WITNESS_TOL).witness
+            radius_witness = numerical_radius(ws, _WITNESS_TOL).witness
         starts.append(np.asarray(radius_witness, dtype=np.complex128).reshape(-1))
     rng = np.random.default_rng(seed)
     while len(starts) < restarts:

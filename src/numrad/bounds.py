@@ -43,8 +43,7 @@ from dataclasses import dataclass
 
 from .errors import BadExponent
 from .linalg import check_alpha, herm_norm
-from .radius import RadiusBracket, numerical_radius
-from .workspace import Workspace
+from .radius import RadiusBracket, Workspace, numerical_radius
 
 KIND_UPPER_W2 = "upper-on-w2"
 KIND_UPPER_W = "upper-on-w"
@@ -346,4 +345,4 @@ def report_from_workspace(ws: Workspace, bracket: RadiusBracket) -> BoundReport:
 def bound_report(t, tol: float = 1e-9) -> BoundReport:
     """Evaluate every catalog bound on T against a certified w(T) bracket."""
     ws = Workspace.of(t)
-    return report_from_workspace(ws, numerical_radius(ws.a, tol))
+    return report_from_workspace(ws, numerical_radius(ws, tol))

@@ -24,29 +24,27 @@ from .abnormal import ab_certify, lower_sab, lower_th5, lower_th6
 from .alpha_norm import alpha_norm_estimate
 from .ensembles import ENSEMBLES, random_matrix, stream_rng
 from .errors import BadEnsemble
-from .radius import numerical_radius
+from .radius import Workspace, numerical_radius
 from .scalar_checks import scalar_inequality_checks
-from .workspace import Workspace
 
 ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_TOL = 1e-7
 CHAIN_TOL = 1e-9
 VECTOR_PAIRS = 8
 STRICT_MARGIN = 1e-12
+# Few alpha-norm restarts suffice: the sandwich property only needs the
+# certificate side, and the two structured starts (top singular vector,
+# radius witness) already pin the endpoints.
+ALPHA_RESTARTS = 2
 
 
 @dataclass(frozen=True)
 class FuzzConfig:
-    """alpha_restarts stays small here: the sandwich property only needs
-    the certificate side, and the two structured starts (top singular
-    vector, radius witness) already pin the endpoints."""
-
     dims: tuple[int, ...]
     trials: int
     ensembles: tuple[str, ...]
     seed: int
     tol: float = DEFAULT_TOL
-    alpha_restarts: int = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +97,7 @@ class TrialContext:
 
     @cached_property
     def bracket(self):
-        return numerical_radius(self.matrix, self.config.tol)
+        return numerical_radius(self.workspace, self.config.tol)
 
     @cached_property
     def report(self) -> bounds.BoundReport:
@@ -118,7 +116,7 @@ class TrialContext:
         return alpha_norm_estimate(
             self.workspace,
             alpha,
-            restarts=self.config.alpha_restarts,
+            restarts=ALPHA_RESTARTS,
             seed=0,
             radius_witness=self.bracket.witness,
         )

@@ -75,11 +75,16 @@ def eigh_desc(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def herm_norm(h: np.ndarray) -> float:
-    """Spectral norm of a (numerically) Hermitian matrix: max |eigenvalue|."""
+    """Spectral norm of a (numerically) Hermitian matrix: max |eigenvalue|.
+
+    Raises NoConvergence rather than return a non-finite norm.
+    """
     try:
         vals = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    if not np.isfinite(vals).all():
+        raise NoConvergence("non-finite eigenvalue: an intermediate matrix overflowed")
     return float(max(abs(vals[0]), abs(vals[-1]))) if vals.size else 0.0
 
 

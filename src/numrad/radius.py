@@ -21,11 +21,16 @@ constant) would need ~2^20 eigenvalue evaluations to certify a 1e-8
 bracket; with it a handful of rounds suffice.  Plateaus still refine
 every interval, so cost grows like 2^rounds there; the round cap keeps
 that bounded.
+
+The sweep runs on a Workspace, the per-matrix cache through which
+every public function takes its matrix in; it sits here, under the
+sweep, because its two Buzano w-terms are radius brackets themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,15 +38,126 @@ from .errors import NoConvergence, Timeout
 from .linalg import (
     as_matrix,
     cartesian_parts,
+    eigh_desc,
+    herm_norm,
     phase_normalize,
+    power_from_eig,
     require_square,
-    spectral_norm,
 )
 
 INITIAL_GRID = 720
 MAX_ROUNDS = 40
+W_TERM_TOL = 1e-9
 _EVAL_CHUNK = 1 << 15
 _TWO_PI = 2.0 * np.pi
+
+
+def _gram(x: np.ndarray, y: np.ndarray, name: str) -> np.ndarray:
+    """The hermitized product x @ y, refused when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = x @ y
+        h = (g + g.conj().T) / 2.0
+    if not np.isfinite(h).all():
+        raise NoConvergence(f"{name} has a non-finite entry: the matrix is too large to square")
+    return h
+
+
+class Workspace:
+    """Cached spectral objects for one square matrix, each computed on
+    first use, so a workspace built for one call adds no eigen-solves.
+
+    The moduli squares are taken directly from the hermitized Gram
+    products (|T|^2 = T*T exactly) rather than squaring the computed
+    square roots.  eigh_desc hermitizes its input the same way, so each
+    eigensystem is bit-identical to eigh_desc(T*T) or eigh_desc(TT*).
+    A Gram product that overflows raises NoConvergence.
+    """
+
+    def __init__(self, t):
+        self.a = require_square(as_matrix(t))
+
+    @classmethod
+    def of(cls, t) -> Workspace:
+        """t itself when it is already a workspace, else a new one for t."""
+        return t if isinstance(t, cls) else cls(t)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return _gram(self.a.conj().T, self.a, "T*T")
+
+    @cached_property
+    def cogram(self) -> np.ndarray:
+        return _gram(self.a, self.a.conj().T, "TT*")
+
+    @cached_property
+    def gram_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues of T*T descending, with matching eigenvector columns."""
+        return eigh_desc(self.gram)
+
+    @cached_property
+    def cogram_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        return eigh_desc(self.cogram)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """Singular values, descending."""
+        return np.sqrt(np.clip(self.gram_eig[0], 0.0, None))
+
+    @cached_property
+    def norm(self) -> float:
+        return float(self.sigma[0])
+
+    def mod_power(self, e: float) -> np.ndarray:
+        """|T|**e via the Gram eigenbasis (exponent may exceed 1)."""
+        vals, vecs = self.gram_eig
+        return power_from_eig(vals, vecs, e / 2.0)
+
+    def comod_power(self, e: float) -> np.ndarray:
+        """|T*|**e via the co-Gram eigenbasis."""
+        vals, vecs = self.cogram_eig
+        return power_from_eig(vals, vecs, e / 2.0)
+
+    @cached_property
+    def abs_t(self) -> np.ndarray:
+        return self.mod_power(1.0)
+
+    @cached_property
+    def abs_t_star(self) -> np.ndarray:
+        return self.comod_power(1.0)
+
+    @cached_property
+    def re_im(self) -> tuple[np.ndarray, np.ndarray]:
+        return cartesian_parts(self.a)
+
+    @cached_property
+    def re_im_norms(self) -> tuple[float, float]:
+        """(||Re T||, ||Im T||)."""
+        return tuple(map(herm_norm, self.re_im))
+
+    @cached_property
+    def rotated_norms(self) -> tuple[float, float]:
+        """(||Re T + Im T||, ||Re T - Im T||)."""
+        re, im = self.re_im
+        return herm_norm(re + im), herm_norm(re - im)
+
+    @cached_property
+    def re_cross(self) -> np.ndarray:
+        cross = self.abs_t @ self.abs_t_star
+        return (cross + cross.conj().T) / 2.0
+
+    @cached_property
+    def re_cross_norm(self) -> float:
+        return herm_norm(self.re_cross)
+
+    @cached_property
+    def w_mix_upper(self) -> float:
+        """Upper endpoint of the bracket for w(|T| + i |T*|)."""
+        return numerical_radius(self.abs_t + 1j * self.abs_t_star, W_TERM_TOL).upper
+
+    @cached_property
+    def w_prod_upper(self) -> float:
+        """Upper endpoint of the bracket for w(|T| |T*|)."""
+        return numerical_radius(self.abs_t @ self.abs_t_star, W_TERM_TOL).upper
 
 
 @dataclass(frozen=True)
@@ -90,23 +206,23 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
     """Certified bracket [lower, upper] around w(T) with upper - lower <= tol.
 
-    Starts from 720 equispaced angles on [0, 2pi), keeps every interval
-    whose certified local maximum could still exceed the proven lower
-    bound, and halves those intervals until the bracket closes or the
-    round cap is hit (Timeout).  Deterministic: ties in the running
-    maximum are resolved toward the smallest angle.
+    T is a matrix or its Workspace.  Starts from 720 equispaced angles
+    on [0, 2pi), keeps every interval whose certified local maximum
+    could still exceed the proven lower bound, and halves those
+    intervals until the bracket closes or the round cap is hit
+    (Timeout).  Deterministic: ties in the running maximum are resolved
+    toward the smallest angle.
     """
     tol = float(tol)
     if not tol >= 1e-12:
         raise ValueError("tol must be at least 1e-12")
-    a = require_square(as_matrix(t))
-    n = a.shape[0]
-    nrm = spectral_norm(a)
+    ws = Workspace.of(t)
+    a, nrm = ws.a, ws.norm
     if nrm == 0.0:
-        e1 = np.eye(1, n, dtype=np.complex128)[0]
+        e1 = np.eye(1, a.shape[0], dtype=np.complex128)[0]
         return RadiusBracket(0.0, 0.0, 0.0, e1)
 
-    re, im = cartesian_parts(a)
+    re, im = ws.re_im
     h = _TWO_PI / INITIAL_GRID
     thetas = np.arange(INITIAL_GRID) * h
     g = _section_top_eigs(re, im, thetas)

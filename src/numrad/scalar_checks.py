@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadExponent
 from .linalg import as_matrix, check_unit, eigh_desc, power_from_eig, psd_power, require_square
-from .workspace import Workspace
+from .radius import Workspace
 
 SLACK_FLOOR = -1e-9
 
@@ -75,7 +75,7 @@ def scalar_inequality_checks(t, x, y, r: float) -> ScalarChecks:
     g_mat = psd_power(abs_t_star, 1.0 - rr)
     kittaneh = _quad(f_mat @ f_mat, vx) * _quad(g_mat @ g_mat, vy) - lhs >= SLACK_FLOOR
 
-    mccarthy = _quad(a.conj().T @ a, vx) - _quad(abs_t, vx) ** 2 >= SLACK_FLOOR
+    mccarthy = _quad(ws.gram, vx) - _quad(abs_t, vx) ** 2 >= SLACK_FLOOR
 
     u = abs_t_star @ vx
     v = abs_t @ vx

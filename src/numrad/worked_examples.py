@@ -17,7 +17,7 @@ import numpy as np
 from .abnormal import ab_certify
 from .bounds import bound_th4_impr1, gamma_delta
 from .ensembles import make_nilpotent_shift
-from .workspace import Workspace
+from .radius import Workspace
 
 CLOSED_FORM_TOL = 1e-9
 

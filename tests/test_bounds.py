@@ -6,6 +6,7 @@ import pytest
 from numrad import (
     BOUND_IDS,
     BadAlpha,
+    NoConvergence,
     bound_report,
     bound_th1,
     bound_th2,
@@ -61,6 +62,11 @@ class TestTh1:
 
         with pytest.raises(BadExponent):
             bound_th1(T3, 0.5, 1.3)
+
+    def test_overflowing_power_is_an_error_not_nan(self):
+        # |T|^4 overflows at this scale although T*T does not.
+        with pytest.raises(NoConvergence):
+            bound_th1(1e100 * T2, 1.0, 1.0)
 
 
 class TestGammaDelta:
@@ -210,6 +216,11 @@ class TestBoundReport:
         assert by_id["LOW4"].value_on_w_scale == pytest.approx(1 / math.sqrt(2), abs=1e-9)
         assert report.tightest_lower == "LOW1"
 
+    def test_nan_row_is_never_the_tightest(self):
+        # TH1 used to be NaN here and was reported as the tightest upper bound.
+        with pytest.raises(NoConvergence):
+            bound_report(1e100 * T2)
+
     def test_lower_triangular_2_low1_tight(self):
         report = bound_report(T2, 1e-9)
         by_id = {e.bound_id: e for e in report.entries}
@@ -265,7 +276,7 @@ class TestMinimizationQuality:
             pp0_val, _ = pp0_min(a)
             inner, _, _ = bound_th4_impr1(a)
             from numrad.linalg import herm_norm as _herm_norm
-            from numrad.workspace import Workspace as _Workspace
+            from numrad import Workspace as _Workspace
 
             ws = _Workspace(a)
             rc = ws.re_cross_norm
@@ -285,7 +296,7 @@ class TestMinimizationQuality:
 
     def test_rem1_chain(self, rng):
         from numrad.linalg import herm_norm as _herm_norm
-        from numrad.workspace import Workspace as _Workspace
+        from numrad import Workspace as _Workspace
 
         for n in (2, 3, 4):
             a = random_complex(rng, n)

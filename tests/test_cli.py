@@ -4,6 +4,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 import numrad.cli as cli
@@ -129,6 +130,7 @@ class TestFuzzCommand:
         payload = json.loads(out)
         assert payload["total_violations"] == 0
         assert len(payload["cells"]) == 2
+        assert set(payload["config"]) == {"dims", "trials", "ensembles", "seed", "tol"}
         assert "0 violations" in err
 
     def test_deterministic_excluding_elapsed(self, capsys):
@@ -211,6 +213,15 @@ class TestExitCodes:
     def test_missing_file_is_two(self, capsys):
         code, _, _ = run_cli(capsys, "radius", "/nonexistent/x.json")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["radius", "report"])
+    def test_gram_overflow_is_three(self, capsys, tmp_path, command):
+        # A valid matrix whose T*T overflows: not an input error, and no bracket.
+        huge = tmp_path / "huge.json"
+        huge.write_text(render_matrix(1e200 * np.array([[1.0, 2.0j], [0.5, -1.0]]), "json"))
+        code, out, err = run_cli(capsys, command, str(huge))
+        assert (code, out) == (3, "")
+        assert "non-finite" in err
 
     def test_numerical_failure_is_three(self, capsys, monkeypatch, t2_file):
         def boom(*args, **kwargs):

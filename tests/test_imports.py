@@ -1,5 +1,6 @@
 """No numrad module reaches into another numrad module's private names,
-and every numrad name the benchmark's traced run hooks exists."""
+the modules import one another without a cycle, and every numrad name
+the benchmark's traced run hooks exists."""
 
 import ast
 import importlib
@@ -71,6 +72,54 @@ def test_no_private_cross_module_access():
         if (found := private_accesses(path.read_text(encoding="utf-8")))
     }
     assert offences == {}
+
+
+def relative_imports(source: str) -> set[str]:
+    """Sibling modules a source imports relatively, at module level or inside functions."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the import graph as [m, ..., m], or [] when it is acyclic."""
+    done: set[str] = set()
+
+    def visit(path: list[str]) -> list[str]:
+        for dep in sorted(graph.get(path[-1], ())):
+            if dep in path:
+                return path[path.index(dep) :] + [dep]
+            if dep not in done and (cycle := visit(path + [dep])):
+                return cycle
+        done.add(path[-1])
+        return []
+
+    for module in sorted(graph):
+        if module not in done and (cycle := visit([module])):
+            return cycle
+    return []
+
+
+def test_cycle_check_catches_function_level_imports():
+    graph = {
+        "sweep": relative_imports("from .linalg import eigh_desc\nfrom .cache import Cache\n"),
+        "cache": relative_imports("def norm():\n    from . import sweep\n    return sweep.f()\n"),
+        "linalg": relative_imports("import numpy as np\nfrom numrad import errors\n"),
+    }
+    assert graph["linalg"] == set()
+    assert import_cycle(graph) == ["cache", "sweep", "cache"]
+    graph["cache"] = set()
+    assert import_cycle(graph) == []
+
+
+def test_relative_imports_are_acyclic():
+    graph = {path.stem: relative_imports(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    assert import_cycle(graph) == []
 
 
 def test_benchmark_hooks_resolve():

@@ -1,5 +1,6 @@
 """One workspace per matrix: shared results equal the bare-matrix calls,
-and each catalog objective is minimized once."""
+each catalog objective is minimized once, and a Gram product that
+overflows is an error where the matrix is taken in."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import numrad.bounds as bounds_mod
 from numrad import (
     FuzzConfig,
+    NoConvergence,
     Workspace,
     ab_certify,
     alpha_norm_estimate,
@@ -19,6 +21,7 @@ from numrad import (
     lower_general,
     lower_th5,
     lower_th6,
+    numerical_radius,
     pp0_min,
 )
 from numrad.linalg import eigh_desc
@@ -76,6 +79,21 @@ class TestSingleComputation:
         lower_th6(ws, cert)
         assert calls == []
 
+    def test_report_reuses_the_norm_of_its_workspace(self, monkeypatch):
+        ws = Workspace(MATRICES[3])
+        ws.norm
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        bound_report(ws)
+        # TT*, the sweep's witness, and the norm and witness of each w-term.
+        assert len(calls) == 6
+
     def test_gram_eigensystem_is_the_plain_decomposition(self):
         a = MATRICES[4]
         ws = Workspace(a)
@@ -120,6 +138,31 @@ def test_workspace_calls_equal_bare_matrix_calls(m):
         assert shared.best_value == bare.best_value
         assert shared.upper_cert == bare.upper_cert
         assert np.array_equal(shared.best_vector, bare.best_vector)
-    shared, bare = ab_certify(ws), ab_certify(m)
-    for field in shared.__dataclass_fields__:
-        assert np.array_equal(getattr(shared, field), getattr(bare, field)), field
+    for shared, bare in ((ab_certify(ws), ab_certify(m)), (numerical_radius(ws), numerical_radius(m))):
+        for field in shared.__dataclass_fields__:
+            assert np.array_equal(getattr(shared, field), getattr(bare, field)), field
+
+
+# A matrix whose Gram products overflow at scale 1e160 and above.
+OVERFLOWING = np.array([[1.0, 2.0j], [0.5, -1.0]])
+
+
+class TestOverflowIsAnError:
+    def test_radius_of_an_overflowing_matrix(self):
+        # Used to return a zero-width bracket built from NaN comparisons.
+        with pytest.raises(NoConvergence, match="T\\*T"):
+            numerical_radius(1e200 * OVERFLOWING)
+
+    def test_report_of_an_overflowing_matrix(self):
+        # Used to raise "matrix entries must be finite" on a valid input.
+        with pytest.raises(NoConvergence):
+            bound_report(1e200 * OVERFLOWING)
+
+    def test_alpha_norm_of_an_overflowing_matrix(self):
+        # Used to return NaN for both sides of the sandwich.
+        with pytest.raises(NoConvergence):
+            alpha_norm_estimate(1e160 * OVERFLOWING, 0.5, restarts=3)
+
+    def test_co_gram_is_checked_too(self):
+        with pytest.raises(NoConvergence, match="TT\\*"):
+            Workspace(1e200 * OVERFLOWING).cogram
