@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadExponent
-from .linalg import check_alpha, herm_norm
+from .linalg import check_alpha, herm_norm, hermitian_product
 from .radius import RadiusBracket, Workspace, numerical_radius
 
 KIND_UPPER_W2 = "upper-on-w2"
@@ -127,10 +127,9 @@ def _minimize(ws: Workspace, name: str) -> tuple[float, float]:
 def _th1(ws: Workspace, alpha: float, r: float) -> float:
     f4 = ws.mod_power(4.0 * r)
     g4 = ws.comod_power(4.0 * (1.0 - r))
-    cross = ws.mod_power(2.0 * r) @ ws.comod_power(2.0 * (1.0 - r))
-    re_cross = (cross + cross.conj().T) / 2.0
+    cross = hermitian_product(ws.mod_power(2.0 * r), ws.comod_power(2.0 * (1.0 - r)), "TH1 cross")
     main = herm_norm((alpha / 4.0) * (f4 + g4) + (1.0 - alpha) * ws.gram)
-    return main + (alpha / 2.0) * herm_norm(re_cross)
+    return main + (alpha / 2.0) * herm_norm(cross)
 
 
 # The catalog in report order, one row per bound: (id, kind, source, arg).

@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     Timeout,
 )
-from .fuzzing import FuzzConfig, FuzzSummary, fuzz, total_violations
+from .fuzzing import FuzzConfig, fuzz, total_violations
 from .matio import parse_matrix
 from .radius import numerical_radius
 from .worked_examples import paper_examples
@@ -44,20 +44,28 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _vector_pairs(x: np.ndarray) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(x).reshape(-1)]
-
-
-def _matrix_obj(a: np.ndarray) -> dict:
-    return {"n": int(a.shape[0]), "m": int(a.shape[1]), "entries": _vector_pairs(a)}
-
-
-def _finite_or_none(v: float) -> float | None:
-    return float(v) if math.isfinite(v) else None
+def _jsonable(obj):
+    """JSON form of a result: a dataclass becomes a dict of its fields, a
+    1-D array a list of [re, im] pairs, a 2-D array {"n", "m", "entries"}
+    and a non-finite float null; dicts, lists and tuples are walked."""
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 2:
+            n, m = obj.shape
+            return {"n": n, "m": m, "entries": _jsonable(obj.reshape(-1))}
+        return [[_jsonable(float(v.real)), _jsonable(float(v.imag))] for v in obj]
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True)
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -66,17 +74,7 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _cmd_radius(args) -> int:
-    bracket = numerical_radius(_load_matrix(args.file), args.tol)
-    print(
-        _dump(
-            {
-                "lower": bracket.lower,
-                "upper": bracket.upper,
-                "argmax_angle": bracket.argmax_angle,
-                "witness": _vector_pairs(bracket.witness),
-            }
-        )
-    )
+    print(_dump(numerical_radius(_load_matrix(args.file), args.tol)))
     return EXIT_OK
 
 
@@ -84,35 +82,12 @@ def _cmd_alpha_norm(args) -> int:
     est = alpha_norm_estimate(
         _load_matrix(args.file), args.alpha, restarts=args.restarts, seed=args.seed
     )
-    print(
-        _dump(
-            {
-                "alpha": est.alpha,
-                "best_value": est.best_value,
-                "upper_cert": est.upper_cert,
-                "best_vector": _vector_pairs(est.best_vector),
-            }
-        )
-    )
+    print(_dump(est))
     return EXIT_OK
 
 
 def _cmd_abnormal(args) -> int:
-    cert = ab_certify(_load_matrix(args.file))
-    print(
-        _dump(
-            {
-                "alpha_best": cert.alpha_best,
-                "beta_best": _finite_or_none(cert.beta_best),
-                "kernels_equal": cert.kernels_equal,
-                "is_ab_normal": cert.is_ab_normal,
-                "raw_min_ratio": cert.raw_min_ratio,
-                "raw_max_ratio": cert.raw_max_ratio,
-                "witness_min": _vector_pairs(cert.witness_min),
-                "witness_max": _vector_pairs(cert.witness_max),
-            }
-        )
-    )
+    print(_dump(ab_certify(_load_matrix(args.file))))
     return EXIT_OK
 
 
@@ -184,26 +159,6 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _summary_obj(summary: FuzzSummary) -> dict:
-    return {
-        "trials": summary.trials,
-        "dimension": summary.dimension,
-        "ensemble": summary.ensemble,
-        "seed": summary.seed,
-        "elapsed": summary.elapsed,
-        "diagnostics": summary.diagnostics,
-        "violations": [
-            {
-                "property_id": v.property_id,
-                "trial": v.trial,
-                "matrix": _matrix_obj(v.matrix),
-                "observed": v.observed,
-            }
-            for v in summary.violations
-        ],
-    }
-
-
 def _cmd_fuzz(args) -> int:
     dims = tuple(int(d) for d in args.dims.split(","))
     ensembles = tuple(args.ensemble.split(","))
@@ -215,9 +170,9 @@ def _cmd_fuzz(args) -> int:
     print(
         _dump(
             {
-                "config": asdict(config),
+                "config": config,
                 "total_violations": bad,
-                "cells": [_summary_obj(s) for s in summaries],
+                "cells": summaries,
             }
         )
     )

@@ -74,18 +74,38 @@ def eigh_desc(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
-def herm_norm(h: np.ndarray) -> float:
-    """Spectral norm of a (numerically) Hermitian matrix: max |eigenvalue|.
+def herm_norms(stack: np.ndarray) -> np.ndarray:
+    """Spectral norms max |eigenvalue| of one Hermitian matrix or a stack of them.
 
-    Raises NoConvergence rather than return a non-finite norm.
+    Only the lower triangle of each matrix is read.  Raises NoConvergence
+    rather than return a non-finite norm.
     """
     try:
-        vals = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
+        vals = np.linalg.eigvalsh(stack)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
     if not np.isfinite(vals).all():
         raise NoConvergence("non-finite eigenvalue: an intermediate matrix overflowed")
-    return float(max(abs(vals[0]), abs(vals[-1]))) if vals.size else 0.0
+    return np.maximum(np.abs(vals[..., 0]), np.abs(vals[..., -1]))
+
+
+def herm_norm(h: np.ndarray) -> float:
+    """Spectral norm of a (numerically) Hermitian matrix, hermitized first."""
+    return float(herm_norms((h + h.conj().T) / 2.0))
+
+
+def hermitian_product(x: np.ndarray, y: np.ndarray, name: str) -> np.ndarray:
+    """Re(x @ y) = (xy + (xy)*) / 2, refused (NoConvergence) when it overflows.
+
+    The result is exactly Hermitian, so hermitizing it again (as
+    eigh_desc does) changes no bit.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = x @ y
+        h = (g + g.conj().T) / 2.0
+    if not np.isfinite(h).all():
+        raise NoConvergence(f"{name} has a non-finite entry: the matrix is too large")
+    return h
 
 
 @dataclass(frozen=True)
@@ -127,7 +147,7 @@ def spectral_norm(m) -> float:
 def singular_values(m) -> np.ndarray:
     """Singular values, descending: square roots of eig(M* M) clamped at 0."""
     a = as_matrix(m)
-    vals, _ = eigh_desc(a.conj().T @ a)
+    vals, _ = eigh_desc(hermitian_product(a.conj().T, a, "M*M"))
     return np.sqrt(np.clip(vals, 0.0, None))
 
 
@@ -135,8 +155,8 @@ def polar_moduli(m) -> tuple[np.ndarray, np.ndarray]:
     """Polar moduli (|M|, |M*|) = ((M*M)^(1/2), (MM*)^(1/2)), both Hermitian PSD."""
     a = require_square(as_matrix(m))
     return (
-        power_from_eig(*eigh_desc(a.conj().T @ a), 0.5),
-        power_from_eig(*eigh_desc(a @ a.conj().T), 0.5),
+        power_from_eig(*eigh_desc(hermitian_product(a.conj().T, a, "M*M")), 0.5),
+        power_from_eig(*eigh_desc(hermitian_product(a, a.conj().T, "MM*")), 0.5),
     )
 
 
@@ -144,9 +164,9 @@ def power_from_eig(vals: np.ndarray, vecs: np.ndarray, r: float) -> np.ndarray:
     # 0**0 == 1 under np.power, which is the convention we want: the r -> 0
     # limit of t**r is 1 for t > 0 and the exponent-0 member of a power
     # family f(t) g(t) = t must act as the identity on the support.
-    powered = np.power(np.clip(vals, 0.0, None), r)
-    out = (vecs * powered) @ vecs.conj().T
-    return (out + out.conj().T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = vecs * np.power(np.clip(vals, 0.0, None), r)
+    return hermitian_product(scaled, vecs.conj().T, f"the power {r} of a PSD matrix")
 
 
 def psd_power(p, r: float) -> np.ndarray:
@@ -203,7 +223,11 @@ def kernels_equal(m, tol: float | None = None) -> KernelComparison:
     """
     a = require_square(as_matrix(m))
     rel = kernel_cutoff(tol, a.shape[0])
-    return compare_kernels(eigh_desc(a.conj().T @ a), eigh_desc(a @ a.conj().T), rel)
+    return compare_kernels(
+        eigh_desc(hermitian_product(a.conj().T, a, "M*M")),
+        eigh_desc(hermitian_product(a, a.conj().T, "MM*")),
+        rel,
+    )
 
 
 def compare_kernels(gram_eig, cogram_eig, rel: float) -> KernelComparison:

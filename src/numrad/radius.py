@@ -1,26 +1,32 @@
-"""Certified numerical radius via an angle sweep.
+"""Certified numerical radius via a half-period angle sweep.
 
-w(T) = max_theta lambda_max(H(theta)) where
+With H(theta) = (e^{i theta} T + e^{-i theta} T*) / 2
+              = cos(theta) Re(T) - sin(theta) Im(T)
 
-    H(theta) = (e^{i theta} T + e^{-i theta} T*) / 2
-             = cos(theta) Re(T) - sin(theta) Im(T).
+we have H(theta + pi) = -H(theta), so
 
-A branch-and-bound refinement brackets the maximum.  Every evaluated
-value g(theta) = lambda_max(H(theta)) equals <H(theta) x, x> for the
-top eigenvector x, hence is a valid lower bound for w(T).  An interval
+    w(T) = max over [0, 2pi) of lambda_max(H(theta))
+         = max over [0, pi) of g(theta),   g(theta) = ||H(theta)||,
+
+and g(theta) = max(lambda_max H(theta), lambda_max H(theta + pi)) is
+one Hermitian norm per angle.  A branch-and-bound refinement brackets
+the maximum.  Every evaluated value g(theta) equals <H(phi) x, x> for
+phi = theta and the top eigenvector x, or phi = theta + pi and the
+bottom one, hence is a valid lower bound for w(T).  An interval
 [t1, t2] of width h carries the certificate
 
     sup over the interval <= max(g(t1), g(t2)) + min(L h / 2, W h^2 / 8)
 
-with L = ||T|| a Lipschitz constant of g and W any already proven upper
-bound for w(T).  The quadratic term holds because g is a supremum of
-sinusoids |<Tx, x>| cos(theta + phi_x) whose amplitude never exceeds
-w(T) <= W, so g(theta) + W theta^2 / 2 is convex.  Without it, matrices
-whose section spectrum is theta-invariant (weighted shifts, where g is
-constant) would need ~2^20 eigenvalue evaluations to certify a 1e-8
-bracket; with it a handful of rounds suffice.  Plateaus still refine
-every interval, so cost grows like 2^rounds there; the round cap keeps
-that bounded.
+with L = ||T|| and W any already proven upper bound for w(T).  Each
+sheet theta -> lambda_max H(theta) is a supremum of sinusoids
+|<Tx, x>| cos(theta + phi_x) whose amplitude never exceeds
+w(T) <= W <= ||T||, so it is L-Lipschitz and it plus W theta^2 / 2 is
+convex; the maximum of the two sheets g keeps both properties.
+Without the quadratic term, matrices whose section spectrum is
+theta-invariant (weighted shifts, where g is constant) would need
+~2^20 eigenvalue evaluations to certify a 1e-8 bracket; with it a
+handful of rounds suffice.  Plateaus still refine every interval, so
+cost grows like 2^rounds there; the round cap keeps that bounded.
 
 The sweep runs on a Workspace, the per-matrix cache through which
 every public function takes its matrix in; it sits here, under the
@@ -34,32 +40,24 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NoConvergence, Timeout
+from .errors import Timeout
 from .linalg import (
     as_matrix,
     cartesian_parts,
     eigh_desc,
     herm_norm,
+    herm_norms,
+    hermitian_product,
     phase_normalize,
     power_from_eig,
     require_square,
 )
 
-INITIAL_GRID = 720
+INITIAL_GRID = 360
 MAX_ROUNDS = 40
 W_TERM_TOL = 1e-9
 _EVAL_CHUNK = 1 << 15
 _TWO_PI = 2.0 * np.pi
-
-
-def _gram(x: np.ndarray, y: np.ndarray, name: str) -> np.ndarray:
-    """The hermitized product x @ y, refused when it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = x @ y
-        h = (g + g.conj().T) / 2.0
-    if not np.isfinite(h).all():
-        raise NoConvergence(f"{name} has a non-finite entry: the matrix is too large to square")
-    return h
 
 
 class Workspace:
@@ -70,7 +68,7 @@ class Workspace:
     products (|T|^2 = T*T exactly) rather than squaring the computed
     square roots.  eigh_desc hermitizes its input the same way, so each
     eigensystem is bit-identical to eigh_desc(T*T) or eigh_desc(TT*).
-    A Gram product that overflows raises NoConvergence.
+    A product or power that overflows raises NoConvergence.
     """
 
     def __init__(self, t):
@@ -83,11 +81,11 @@ class Workspace:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        return _gram(self.a.conj().T, self.a, "T*T")
+        return hermitian_product(self.a.conj().T, self.a, "T*T")
 
     @cached_property
     def cogram(self) -> np.ndarray:
-        return _gram(self.a, self.a.conj().T, "TT*")
+        return hermitian_product(self.a, self.a.conj().T, "TT*")
 
     @cached_property
     def gram_eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -142,8 +140,7 @@ class Workspace:
 
     @cached_property
     def re_cross(self) -> np.ndarray:
-        cross = self.abs_t @ self.abs_t_star
-        return (cross + cross.conj().T) / 2.0
+        return hermitian_product(self.abs_t, self.abs_t_star, "|T| |T*|")
 
     @cached_property
     def re_cross_norm(self) -> float:
@@ -183,16 +180,13 @@ def hermitian_section(t, theta: float) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
-def _section_top_eigs(re: np.ndarray, im: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """lambda_max of cos(t) Re - sin(t) Im for a batch of angles, chunked."""
+def _section_norms(re: np.ndarray, im: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """||cos(t) Re - sin(t) Im|| for a batch of angles, chunked."""
     out = np.empty(thetas.size)
     for lo in range(0, thetas.size, _EVAL_CHUNK):
         chunk = thetas[lo : lo + _EVAL_CHUNK]
         stack = np.cos(chunk)[:, None, None] * re - np.sin(chunk)[:, None, None] * im
-        try:
-            out[lo : lo + chunk.size] = np.linalg.eigvalsh(stack)[:, -1]
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"section eigensolver failed: {exc}") from exc
+        out[lo : lo + chunk.size] = herm_norms(stack)
     return out
 
 
@@ -206,12 +200,19 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
     """Certified bracket [lower, upper] around w(T) with upper - lower <= tol.
 
-    T is a matrix or its Workspace.  Starts from 720 equispaced angles
-    on [0, 2pi), keeps every interval whose certified local maximum
-    could still exceed the proven lower bound, and halves those
-    intervals until the bracket closes or the round cap is hit
-    (Timeout).  Deterministic: ties in the running maximum are resolved
-    toward the smallest angle.
+    T is a matrix or its Workspace.  Sweeps g(theta) = ||H(theta)||
+    over [0, pi), which carries the same certificate as lambda_max over
+    [0, 2pi) (see the module docstring): starts from 360 equispaced
+    angles (the spacing of 720 on the full circle), keeps every
+    interval whose certified local maximum could still exceed the
+    proven lower bound, and halves those intervals until the bracket
+    closes or the round cap is hit (Timeout).  Deterministic: ties in
+    the running maximum are resolved toward the smallest angle.
+
+    The witness is the top eigenvector of H at the best angle, or the
+    bottom one, with argmax_angle moved by pi, when -lambda_min is
+    strictly larger; an exact tie keeps the top eigenvector, so
+    argmax_angle lies in [0, 2pi).
     """
     tol = float(tol)
     if not tol >= 1e-12:
@@ -223,9 +224,9 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
         return RadiusBracket(0.0, 0.0, 0.0, e1)
 
     re, im = ws.re_im
-    h = _TWO_PI / INITIAL_GRID
+    h = np.pi / INITIAL_GRID
     thetas = np.arange(INITIAL_GRID) * h
-    g = _section_top_eigs(re, im, thetas)
+    g = _section_norms(re, im, thetas)
 
     best = int(np.argmax(g))
     best_theta = float(thetas[best])
@@ -257,7 +258,7 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
         left, right = left[keep], right[keep]
         gl, gr = gl[keep], gr[keep]
         mid = (left + right) / 2.0
-        gm = _section_top_eigs(re, im, mid)
+        gm = _section_norms(re, im, mid)
         j = int(np.argmax(gm))
         if float(gm[j]) > lower:
             lower = float(gm[j])
@@ -272,12 +273,11 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
             f"radius bracket still {upper - lower:.3e} wide after {MAX_ROUNDS} rounds"
         )
 
-    section = np.cos(best_theta) * re - np.sin(best_theta) * im
-    try:
-        _, vecs = np.linalg.eigh(section)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"witness eigensolver failed: {exc}") from exc
-    witness = phase_normalize(vecs[:, -1])
+    vals, vecs = eigh_desc(np.cos(best_theta) * re - np.sin(best_theta) * im)
+    col = 0
+    if -vals[-1] > vals[0]:
+        col, best_theta = -1, best_theta + np.pi
+    witness = phase_normalize(vecs[:, col])
     lower_final = float(abs(np.vdot(witness, a @ witness)))
     return RadiusBracket(
         lower=lower_final,

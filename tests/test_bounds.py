@@ -63,8 +63,9 @@ class TestTh1:
         with pytest.raises(BadExponent):
             bound_th1(T3, 0.5, 1.3)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_power_is_an_error_not_nan(self):
-        # |T|^4 overflows at this scale although T*T does not.
+        # |T|^4 overflows at this scale although T*T does not; no warning first.
         with pytest.raises(NoConvergence):
             bound_th1(1e100 * T2, 1.0, 1.0)
 

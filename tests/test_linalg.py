@@ -5,6 +5,7 @@ import pytest
 
 from numrad import (
     BadExponent,
+    NoConvergence,
     NotHermitian,
     NotSquare,
     adjoint,
@@ -16,6 +17,7 @@ from numrad import (
     singular_values,
     spectral_norm,
 )
+from numrad.linalg import herm_norm, herm_norms
 from numrad.worked_examples import LOWER_TRIANGULAR_2 as T2, SHIFT_3 as T3
 
 from conftest import random_complex, random_hermitian
@@ -89,6 +91,11 @@ class TestSpectralNorm:
             a = random_complex(rng, n)
             x, y = spectral_norm(a), spectral_norm(adjoint(a))
             assert abs(x - y) <= 1e-10 * max(1.0, x)
+
+    def test_stacked_herm_norms_match_single(self, rng):
+        stack = np.array([random_hermitian(rng, 4) for _ in range(6)] + [-np.eye(4), np.eye(4)])
+        assert np.array_equal(herm_norms(stack), [herm_norm(h) for h in stack])
+        assert herm_norms(stack)[-2] == 1.0
 
 
 class TestPolarModuli:
@@ -199,3 +206,17 @@ class TestKernelsEqual:
     def test_rejects_non_positive_tol(self, tol):
         with pytest.raises(ValueError):
             kernels_equal(T2, tol)
+
+
+# Every entry is finite, but M*M and MM* overflow.
+OVERFLOWING = 1e200 * np.array([[1.0, 2.0j], [0.5, -1.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "helper", [singular_values, spectral_norm, polar_moduli, kernels_equal], ids=lambda f: f.__name__
+)
+def test_overflowing_product_is_an_error(helper):
+    # Each used to warn and return NaN; kernels_equal answered equal=True.
+    with pytest.raises(NoConvergence):
+        helper(OVERFLOWING)

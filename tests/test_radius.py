@@ -127,6 +127,27 @@ class TestNumericalRadius:
                 assert bracket.lower >= oracle - slack
                 assert bracket.upper <= oracle + slack
 
+    def test_bottom_sheet_witness(self):
+        # ||H(0)|| = 2 is -lambda_min: the angle moves by pi, the witness is e1.
+        bracket = numerical_radius(np.diag([-2.0, 1.0]), 1e-10)
+        assert bracket.lower <= 2.0 <= bracket.upper
+        assert bracket.argmax_angle == np.pi
+        assert abs(abs(bracket.witness[0]) - 1.0) <= 1e-15 and bracket.witness[1] == 0
+
+    def test_shift3_section_count(self, monkeypatch):
+        # One norm per angle on [0, pi): half the 46,080 section matrices
+        # that a lambda_max sweep over [0, 2pi) needs here.
+        sections = []
+        original = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            sections.append(a.shape[0] if a.ndim == 3 else 1)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        numerical_radius(T3, 1e-8)
+        assert sum(sections) == 23_040
+
     def test_zero_matrix(self):
         bracket = numerical_radius(np.zeros((3, 3)), 1e-9)
         assert bracket.lower == 0.0 and bracket.upper == 0.0
