@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotABNormal
-from .linalg import compare_kernels, eigh_desc, kernel_cutoff, phase_normalize
+from .linalg import KernelComparison, compare_kernels, eigh_desc, kernel_cutoff, phase_normalize
 from .radius import Workspace
 
 
@@ -45,25 +45,43 @@ class ABNormalCertificate:
     raw_max_ratio: float
 
 
+def kernels_equal(t, tol: float | None = None) -> KernelComparison:
+    """Compare the numerical kernels of T and T*.
+
+    The kernel of T is spanned by right singular vectors whose singular
+    value falls below tol * sigma_max (default tol: n * 2**-52); the
+    kernel of T* by the matching left singular vectors.  Spans are
+    called equal when the dimensions agree and every principal angle
+    between them is below 1e-8 (tested through the sine, which stays
+    well conditioned for tiny angles).  In finite dimension equal
+    kernels are equivalent to equal ranges of T and T*.
+    """
+    ws = Workspace.of(t)
+    rel = kernel_cutoff(tol, ws.a.shape[0])
+    return compare_kernels(ws.gram_eig, ws.cogram_eig, rel)
+
+
 def ab_certify(t, tol: float | None = None) -> ABNormalCertificate:
     """Certify (alpha, beta)-normality through the pencil (TT*, T*T).
 
     tol is the relative singular value cutoff for the numerical kernel
-    (default n * 2**-52).  When the kernels of T and T* differ no alpha
-    above zero works, so the certificate reports is_ab_normal False with
-    alpha_best 0 rather than a degenerate pair.
+    of kernels_equal (default n * 2**-52); the pencil is restricted to
+    the singular directions outside that kernel.  When the kernels of T
+    and T* differ no alpha above zero works, so the certificate reports
+    is_ab_normal False with alpha_best 0 rather than a degenerate pair.
     """
     ws = Workspace.of(t)
     n = ws.a.shape[0]
-    rel = kernel_cutoff(tol, n)
-    comparison = compare_kernels(ws.gram_eig, ws.cogram_eig, rel)
+    comparison = kernels_equal(ws, tol)
 
     if ws.norm == 0.0:
         # The zero matrix is normal: both defining inequalities are 0 <= 0.
         e1 = np.eye(1, n, dtype=np.complex128)[0]
         return ABNormalCertificate(1.0, 1.0, True, True, e1, e1, 1.0, 1.0)
 
-    keep = ws.sigma > rel * ws.norm
+    # The kernel is the last kernel_dim singular directions.  A mask, not a
+    # slice: the products below can round differently on a strided view.
+    keep = np.arange(n) < n - comparison.kernel_dim
     v = ws.gram_eig[1][:, keep]
     sk = ws.sigma[keep]
     pencil = (v.conj().T @ ws.cogram @ v) / np.outer(sk, sk)

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_th1, bound_th2
+from .bounds import OBJECTIVES, bound_th2
+from .errors import NoConvergence
 from .linalg import check_alpha, check_unit, eigh_desc, phase_normalize
 from .radius import Workspace, numerical_radius
 
@@ -66,9 +67,18 @@ def _tangent(a: np.ndarray, alpha: float, c: complex, x: np.ndarray) -> np.ndarr
     return g - np.vdot(x, g) * x
 
 
+def _finite(value, name: str):
+    """value, or NoConvergence when it is not finite (an intermediate overflowed)."""
+    if not np.isfinite(value).all():
+        raise NoConvergence(f"{name} is not finite: the matrix is too large")
+    return value
+
+
 def alpha_objective(t, alpha: float, x) -> float:
-    """alpha |<Tx, x>|^2 + (1 - alpha) ||Tx||^2 for a unit vector x."""
-    return _value(Workspace.of(t).a, check_alpha(alpha), check_unit(x))[0]
+    """alpha |<Tx, x>|^2 + (1 - alpha) ||Tx||^2 for a unit vector x (NoConvergence on overflow)."""
+    a, alpha, v = Workspace.of(t).a, check_alpha(alpha), check_unit(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(_value(a, alpha, v)[0], "the alpha objective")
 
 
 def alpha_gradient(t, alpha: float, x) -> np.ndarray:
@@ -77,11 +87,11 @@ def alpha_gradient(t, alpha: float, x) -> np.ndarray:
     With c = <Tx, x>, the ambient conjugate-coordinate gradient is
     g = M(c)x; the tangent part g - <g, x> x is returned.  The directional
     derivative of the objective along the result equals twice its squared norm.
+    Raises NoConvergence when the direction overflows.
     """
-    alpha = check_alpha(alpha)
-    a = Workspace.of(t).a
-    v = check_unit(x)
-    return _tangent(a, alpha, _value(a, alpha, v)[1], v)
+    a, alpha, v = Workspace.of(t).a, check_alpha(alpha), check_unit(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(_tangent(a, alpha, _value(a, alpha, v)[1], v), "the alpha gradient")
 
 
 def _ascend(a: np.ndarray, alpha: float, x0: np.ndarray) -> tuple[float, np.ndarray]:
@@ -125,8 +135,9 @@ def alpha_norm_estimate(
     at alpha = 1, recomputed unless one is passed in), the rest uniform
     draws from the complex unit sphere.  best_value is the maximum of
     the ascent limits, ties resolved toward the lowest restart index;
-    upper_cert is min(||T||, sqrt(th2 bound), sqrt(th1 bound at
-    exponent 1/2)) at the same alpha.
+    upper_cert is min(||T||, sqrt(th2 bound), sqrt(gamma)) at the same
+    alpha, where gamma is the catalog's COR1 objective: the th1 bound
+    at exponent 1/2, since |T|^2 = T*T.
     """
     alpha = check_alpha(alpha)
     restarts = int(restarts)
@@ -152,7 +163,7 @@ def alpha_norm_estimate(
     best_f, best_x = max((_ascend(a, alpha, x0) for x0 in starts), key=lambda fx: fx[0])
 
     # The square root is monotone, so one root of the smaller w^2 bound serves both.
-    squared = min(bound_th2(ws, alpha), bound_th1(ws, alpha, 0.5))
+    squared = min(bound_th2(ws, alpha), OBJECTIVES["gamma"](ws, alpha))
     upper = min(ws.norm, math.sqrt(max(squared, 0.0)))
     return AlphaNormEstimate(
         alpha=alpha,

@@ -92,10 +92,6 @@ class TrialContext:
         return Workspace(self.matrix)
 
     @cached_property
-    def norm(self) -> float:
-        return self.workspace.norm
-
-    @cached_property
     def bracket(self):
         return numerical_radius(self.workspace, self.config.tol)
 
@@ -129,23 +125,23 @@ class TrialContext:
 
 
 def _prop_eqv1(ctx: TrialContext):
-    lo, up = ctx.bracket.lower, ctx.bracket.upper
+    lo, up, norm = ctx.bracket.lower, ctx.bracket.upper, ctx.workspace.norm
     tol = ctx.config.tol
-    if lo < ctx.norm / 2.0 - tol or up > ctx.norm + tol:
-        yield {"norm": ctx.norm, "lower": lo, "upper": up}
+    if lo < norm / 2.0 - tol or up > norm + tol:
+        yield {"norm": norm, "lower": lo, "upper": up}
 
 
 def _prop_eqv2(ctx: TrialContext):
-    tol = ctx.config.tol
+    tol, norm = ctx.config.tol, ctx.workspace.norm
     for alpha in ALPHA_GRID:
         est = ctx.alpha_estimate(alpha)
-        if ctx.bracket.lower - tol > est.upper_cert or est.best_value > ctx.norm + tol:
+        if ctx.bracket.lower - tol > est.upper_cert or est.best_value > norm + tol:
             yield {
                 "alpha": alpha,
                 "w_lower": ctx.bracket.lower,
                 "upper_cert": est.upper_cert,
                 "best_value": est.best_value,
-                "norm": ctx.norm,
+                "norm": norm,
             }
 
 
@@ -178,31 +174,31 @@ def _prop_eqn5_chain(ctx: TrialContext):
 
 def _prop_impr1(ctx: TrialContext):
     impr1 = ctx.rows["IMPR1"]
-    if impr1 > ctx.norm + CHAIN_TOL:
-        yield {"impr1": impr1, "norm": ctx.norm}
+    if impr1 > ctx.workspace.norm + CHAIN_TOL:
+        yield {"impr1": impr1, "norm": ctx.workspace.norm}
 
 
 def _prop_ab_orderings(ctx: TrialContext):
     cert = ctx.certificate
     if not cert.is_ab_normal:
         return
-    tol = ctx.config.tol
-    sab = lower_sab(ctx.workspace, cert)
-    th5 = lower_th5(ctx.workspace, cert)
-    th6 = lower_th6(ctx.workspace, cert)
-    up = ctx.bracket.upper
+    tol, ws = ctx.config.tol, ctx.workspace
+    sab = lower_sab(ws, cert)
+    th5 = lower_th5(ws, cert)
+    th6 = lower_th6(ws, cert)
+    up, half = ctx.bracket.upper, ws.norm / 2.0
     bad = (
         sab > th5 + CHAIN_TOL
         or sab > th6 + CHAIN_TOL
         or th5 > up + tol
         or th6 > up + tol
-        or not sab > ctx.norm / 2.0 + STRICT_MARGIN
+        or not sab > half + STRICT_MARGIN
     )
     if bad:
-        yield {"sab": sab, "th5": th5, "th6": th6, "w_upper": up, "half_norm": ctx.norm / 2.0}
+        yield {"sab": sab, "th5": th5, "th6": th6, "w_upper": up, "half_norm": half}
     # An invertible matrix cannot sit at w = ||T||/2.
-    if ctx.norm > 0.0 and up <= ctx.norm / 2.0:
-        yield {"w_upper": up, "half_norm": ctx.norm / 2.0}
+    if ws.norm > 0.0 and up <= half:
+        yield {"w_upper": up, "half_norm": half}
 
 
 def _prop_hyponormal(ctx: TrialContext):

@@ -2,8 +2,11 @@
 
 Everything downstream (radius sweeps, bound formulas, pencil
 certificates) is built from a handful of spectral operations collected
-here: Hermitian eigendecomposition, polar moduli, PSD powers, Cartesian
-parts and numerical-kernel comparison.  All functions are pure, take
+here: the one checked route to numpy's Hermitian eigensolvers
+(eigh_desc and herm_norms), checked Hermitian products, PSD powers,
+Cartesian parts and the comparison of two numerical kernels.  The
+per-matrix helpers built on them (polar_moduli, hermitian_section,
+kernels_equal) read a radius.Workspace.  All functions are pure, take
 array-likes, and return fresh complex128 ndarrays, so values are safe
 to share across threads.
 """
@@ -151,15 +154,6 @@ def singular_values(m) -> np.ndarray:
     return np.sqrt(np.clip(vals, 0.0, None))
 
 
-def polar_moduli(m) -> tuple[np.ndarray, np.ndarray]:
-    """Polar moduli (|M|, |M*|) = ((M*M)^(1/2), (MM*)^(1/2)), both Hermitian PSD."""
-    a = require_square(as_matrix(m))
-    return (
-        power_from_eig(*eigh_desc(hermitian_product(a.conj().T, a, "M*M")), 0.5),
-        power_from_eig(*eigh_desc(hermitian_product(a, a.conj().T, "MM*")), 0.5),
-    )
-
-
 def power_from_eig(vals: np.ndarray, vecs: np.ndarray, r: float) -> np.ndarray:
     # 0**0 == 1 under np.power, which is the convention we want: the r -> 0
     # limit of t**r is 1 for t > 0 and the exponent-0 member of a power
@@ -188,11 +182,12 @@ def cartesian_parts(m) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian pair (Re(M), Im(M)) with M = Re(M) + i Im(M).
 
     Re(M) = (M + M*)/2 and Im(M) = (M - M*)/(2i); both are Hermitian
-    entry by entry, no symmetrization needed.
+    entry by entry, no symmetrization needed.  M is halved first, so
+    the sums cannot overflow for any finite M.
     """
-    a = require_square(as_matrix(m))
-    re = (a + a.conj().T) / 2.0
-    im = (a - a.conj().T) * (-0.5j)
+    h = require_square(as_matrix(m)) / 2.0
+    re = h + h.conj().T
+    im = (h - h.conj().T) * (-1j)
     return re, im
 
 
@@ -210,28 +205,8 @@ def kernel_cutoff(tol: float | None, n: int) -> float:
     return rel
 
 
-def kernels_equal(m, tol: float | None = None) -> KernelComparison:
-    """Compare the numerical kernels of M and M*.
-
-    The kernel of M is spanned by right singular vectors whose singular
-    value falls below tol * sigma_max (default tol: n * 2**-52); the
-    kernel of M* by the matching left singular vectors.  Spans are
-    called equal when the dimensions agree and every principal angle
-    between them is below 1e-8 (tested through the sine, which stays
-    well conditioned for tiny angles).  In finite dimension equal
-    kernels are equivalent to equal ranges of M and M*.
-    """
-    a = require_square(as_matrix(m))
-    rel = kernel_cutoff(tol, a.shape[0])
-    return compare_kernels(
-        eigh_desc(hermitian_product(a.conj().T, a, "M*M")),
-        eigh_desc(hermitian_product(a, a.conj().T, "MM*")),
-        rel,
-    )
-
-
 def compare_kernels(gram_eig, cogram_eig, rel: float) -> KernelComparison:
-    """kernels_equal from the descending eigensystems of M*M and MM*."""
+    """abnormal.kernels_equal from the descending eigensystems of M*M and MM*."""
     (gvals, gvecs), (cvals, cvecs) = gram_eig, cogram_eig
     n = gvals.size
     sigma = np.sqrt(np.clip(gvals, 0.0, None))

@@ -139,12 +139,9 @@ class Workspace:
         return herm_norm(re + im), herm_norm(re - im)
 
     @cached_property
-    def re_cross(self) -> np.ndarray:
-        return hermitian_product(self.abs_t, self.abs_t_star, "|T| |T*|")
-
-    @cached_property
     def re_cross_norm(self) -> float:
-        return herm_norm(self.re_cross)
+        """||Re(|T| |T*|)||."""
+        return herm_norm(hermitian_product(self.abs_t, self.abs_t_star, "|T| |T*|"))
 
     @cached_property
     def w_mix_upper(self) -> float:
@@ -173,11 +170,20 @@ class RadiusBracket:
     witness: np.ndarray
 
 
+def polar_moduli(t) -> tuple[np.ndarray, np.ndarray]:
+    """Polar moduli (|T|, |T*|) = ((T*T)^(1/2), (TT*)^(1/2)), both Hermitian PSD."""
+    ws = Workspace.of(t)
+    return ws.abs_t.copy(), ws.abs_t_star.copy()
+
+
+def _sections(re: np.ndarray, im: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The stack of sections cos(t) Re - sin(t) Im, one per angle t."""
+    return np.cos(thetas)[:, None, None] * re - np.sin(thetas)[:, None, None] * im
+
+
 def hermitian_section(t, theta: float) -> np.ndarray:
-    """The Hermitian section (e^{i theta} T + e^{-i theta} T*) / 2."""
-    a = require_square(as_matrix(t))
-    h = np.exp(1j * float(theta)) * a
-    return (h + h.conj().T) / 2.0
+    """The section (e^{i theta} T + e^{-i theta} T*) / 2 = cos(theta) Re T - sin(theta) Im T."""
+    return _sections(*Workspace.of(t).re_im, np.array([float(theta)]))[0]
 
 
 def _section_norms(re: np.ndarray, im: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -185,8 +191,7 @@ def _section_norms(re: np.ndarray, im: np.ndarray, thetas: np.ndarray) -> np.nda
     out = np.empty(thetas.size)
     for lo in range(0, thetas.size, _EVAL_CHUNK):
         chunk = thetas[lo : lo + _EVAL_CHUNK]
-        stack = np.cos(chunk)[:, None, None] * re - np.sin(chunk)[:, None, None] * im
-        out[lo : lo + chunk.size] = herm_norms(stack)
+        out[lo : lo + chunk.size] = herm_norms(_sections(re, im, chunk))
     return out
 
 
@@ -239,7 +244,6 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
     cap = min(nrm, lower + nrm * h / 2.0)
     upper = cap
 
-    converged = False
     for _ in range(MAX_ROUNDS):
         slack = min(nrm * h / 2.0, cap * h * h / 8.0)
         certs = np.maximum(gl, gr) + slack
@@ -248,13 +252,9 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
         # A small internal margin keeps the final bracket within tol even
         # after the witness inner product replaces the grid lower bound.
         if upper - lower <= 0.9 * tol:
-            converged = True
             break
+        # Not empty: here upper > lower, and upper <= max(lower, certs.max()).
         keep = certs > lower
-        if not keep.any():
-            upper = lower
-            converged = True
-            break
         left, right = left[keep], right[keep]
         gl, gr = gl[keep], gr[keep]
         mid = (left + right) / 2.0
@@ -268,12 +268,12 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
         gl = _interleave(gl, gm)
         gr = _interleave(gm, gr)
         h /= 2.0
-    if not converged:
+    else:
         raise Timeout(
             f"radius bracket still {upper - lower:.3e} wide after {MAX_ROUNDS} rounds"
         )
 
-    vals, vecs = eigh_desc(np.cos(best_theta) * re - np.sin(best_theta) * im)
+    vals, vecs = eigh_desc(_sections(re, im, np.array([best_theta]))[0])
     col = 0
     if -vals[-1] > vals[0]:
         col, best_theta = -1, best_theta + np.pi

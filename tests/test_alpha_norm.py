@@ -5,6 +5,7 @@ import pytest
 
 from numrad import (
     BadAlpha,
+    NoConvergence,
     NotUnit,
     alpha_gradient,
     alpha_norm_estimate,
@@ -84,6 +85,18 @@ class TestObjective:
             alpha_objective(T3, 1.2, E1)
         with pytest.raises(NotUnit):
             alpha_objective(T3, 0.5, 2 * E1)
+
+
+# Every entry is finite, but <Tx, x> and ||Tx|| square to overflow.
+OVERFLOWING = 1e200 * np.array([[1.0, 2.0j], [0.5, -1.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f", [alpha_objective, alpha_gradient], ids=lambda f: f.__name__)
+def test_overflow_is_an_error(f):
+    # Each used to warn and return NaN.
+    with pytest.raises(NoConvergence):
+        f(OVERFLOWING, 0.5, np.array([1.0, 1.0j]) / math.sqrt(2.0))
 
 
 class TestGradient:

@@ -1,6 +1,7 @@
 """No numrad module reaches into another numrad module's private names,
-the modules import one another without a cycle, and every numrad name
-the benchmark's traced run hooks exists."""
+the modules import one another without a cycle, only linalg calls
+numpy's Hermitian eigensolvers, and every numrad name the benchmark's
+traced run hooks exists."""
 
 import ast
 import importlib
@@ -120,6 +121,50 @@ def test_cycle_check_catches_function_level_imports():
 def test_relative_imports_are_acyclic():
     graph = {path.stem: relative_imports(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
     assert import_cycle(graph) == []
+
+
+HERMITIAN_SOLVERS = ("np.linalg.eigh", "np.linalg.eigvalsh", "numpy.linalg.eigh", "numpy.linalg.eigvalsh")
+
+
+def eigen_solver_uses(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each reference to np.linalg.eigh or np.linalg.eigvalsh,
+    called or not, and of each `from numpy.linalg import` of either."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (name := _dotted(node)) in HERMITIAN_SOLVERS:
+            found.append((node.lineno, name))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            for alias in node.names:
+                if (name := f"numpy.linalg.{alias.name}") in HERMITIAN_SOLVERS:
+                    found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_solver_check_catches_a_direct_call():
+    source = (
+        "import numpy as np\n"
+        "def top(h):\n"
+        "    return np.linalg.eigvalsh(h)[-1]\n"
+        "solve = np.linalg.eigh\n"
+        "other = np.linalg.eig(h)\n"
+        "from numpy.linalg import eigvalsh, norm\n"
+    )
+    assert eigen_solver_uses(source) == [
+        (3, "np.linalg.eigvalsh"),
+        (4, "np.linalg.eigh"),
+        (6, "numpy.linalg.eigvalsh"),
+    ]
+
+
+def test_only_linalg_calls_the_hermitian_eigensolvers():
+    # eigh_desc and herm_norms are the one checked eigen path.
+    offences = {
+        path.name: found
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "linalg.py" and (found := eigen_solver_uses(path.read_text(encoding="utf-8")))
+    }
+    assert offences == {}
+    assert eigen_solver_uses((SRC / "linalg.py").read_text(encoding="utf-8"))
 
 
 def test_benchmark_hooks_resolve():

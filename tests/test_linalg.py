@@ -184,6 +184,13 @@ class TestCartesianParts:
         with pytest.raises(NotSquare):
             cartesian_parts(np.ones((2, 3)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_near_the_top_of_the_range(self):
+        # Summing before halving overflowed to inf+nanj entries.
+        a = 1e308 * np.ones((2, 2))
+        re, im = cartesian_parts(a)
+        assert np.array_equal(re, a) and np.array_equal(im, np.zeros((2, 2)))
+
 
 class TestKernelsEqual:
     def test_shift3_kernels_differ(self):

@@ -48,6 +48,11 @@ class TestHermitianSection:
         with pytest.raises(NotSquare):
             hermitian_section(np.ones((2, 3)), 0.1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_near_the_top_of_the_range(self):
+        h = hermitian_section(1e308 * np.ones((2, 2)), 0.3)
+        assert np.allclose(h, np.cos(0.3) * 1e308 * np.ones((2, 2)), rtol=1e-15, atol=0)
+
 
 class TestNumericalRadius:
     def test_hermitian_spectral_radius(self):
