@@ -3,7 +3,8 @@
 Everything downstream (radius sweeps, bound formulas, pencil
 certificates) is built from a handful of spectral operations collected
 here: the one checked route to numpy's Hermitian eigensolvers
-(eigh_desc and herm_norms), checked Hermitian products, PSD powers,
+(eigh_desc, and herm_eigvals with its view herm_norms), checked
+Hermitian products, PSD powers,
 Cartesian parts and the comparison of two numerical kernels.  The
 per-matrix helpers built on them (polar_moduli, hermitian_section,
 kernels_equal) read a radius.Workspace.  All functions are pure, take
@@ -77,11 +78,11 @@ def eigh_desc(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
-def herm_norms(stack: np.ndarray) -> np.ndarray:
-    """Spectral norms max |eigenvalue| of one Hermitian matrix or a stack of them.
+def herm_eigvals(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending along the last axis, of one Hermitian matrix or a stack of them.
 
     Only the lower triangle of each matrix is read.  Raises NoConvergence
-    rather than return a non-finite norm.
+    rather than return a non-finite eigenvalue.
     """
     try:
         vals = np.linalg.eigvalsh(stack)
@@ -89,6 +90,12 @@ def herm_norms(stack: np.ndarray) -> np.ndarray:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
     if not np.isfinite(vals).all():
         raise NoConvergence("non-finite eigenvalue: an intermediate matrix overflowed")
+    return vals
+
+
+def herm_norms(stack: np.ndarray) -> np.ndarray:
+    """Spectral norms max |eigenvalue| of one Hermitian matrix or a stack of them (see herm_eigvals)."""
+    vals = herm_eigvals(stack)
     return np.maximum(np.abs(vals[..., 0]), np.abs(vals[..., -1]))
 
 

@@ -157,7 +157,7 @@ def test_solver_check_catches_a_direct_call():
 
 
 def test_only_linalg_calls_the_hermitian_eigensolvers():
-    # eigh_desc and herm_norms are the one checked eigen path.
+    # eigh_desc and herm_eigvals are the one checked eigen path.
     offences = {
         path.name: found
         for path in sorted(SRC.glob("*.py"))

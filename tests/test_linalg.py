@@ -17,7 +17,7 @@ from numrad import (
     singular_values,
     spectral_norm,
 )
-from numrad.linalg import herm_norm, herm_norms
+from numrad.linalg import herm_eigvals, herm_norm, herm_norms
 from numrad.worked_examples import LOWER_TRIANGULAR_2 as T2, SHIFT_3 as T3
 
 from conftest import random_complex, random_hermitian
@@ -96,6 +96,18 @@ class TestSpectralNorm:
         stack = np.array([random_hermitian(rng, 4) for _ in range(6)] + [-np.eye(4), np.eye(4)])
         assert np.array_equal(herm_norms(stack), [herm_norm(h) for h in stack])
         assert herm_norms(stack)[-2] == 1.0
+
+    def test_herm_norms_read_the_ends_of_herm_eigvals(self, rng):
+        stack = np.array([random_hermitian(rng, 4) for _ in range(6)] + [-2.0 * np.eye(4)])
+        vals = herm_eigvals(stack)
+        assert np.array_equal(vals, np.linalg.eigvalsh(stack))
+        assert np.all(np.diff(vals, axis=-1) >= 0.0)
+        assert np.array_equal(herm_norms(stack), np.maximum(-vals[:, 0], vals[:, -1]))
+        assert herm_norms(stack)[-1] == 2.0
+
+    def test_non_finite_eigenvalue_is_an_error(self):
+        with pytest.raises(NoConvergence):
+            herm_eigvals(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 class TestPolarModuli:
