@@ -14,7 +14,8 @@ class NotHermitian(NumradError):
 
 
 class NoConvergence(NumradError):
-    """The eigensolver failed to converge."""
+    """No certified result: the eigensolver failed, an intermediate
+    overflowed, or a bracket could not be closed to the tolerance."""
 
 
 class Timeout(NumradError):

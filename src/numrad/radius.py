@@ -27,8 +27,16 @@ theta-invariant (weighted shifts, where g is constant) would need
 ~2^20 eigenvalue evaluations to certify a 1e-8 bracket; with it a
 handful of rounds suffice.
 
-On such a plateau no interval certificate ever falls below the others,
-so branch and bound would refine every interval until W h^2 / 8 fits
+The certificate holds at any spacing, so the sweep starts coarse, from
+every 8th angle of the INITIAL_GRID = 360 angles (45 angles,
+h = pi / 45): on smooth inputs round 0 already drops most intervals.
+When it drops none and does not close the bracket, the sweep fills in
+the other 315 angles (one stacked eigvalsh, the 45 coarse spectra
+kept) and starts over from the initial grid, exactly as if it had
+started there.
+
+On a plateau no interval certificate ever falls below the others, so
+branch and bound would refine every interval until W h^2 / 8 fits
 the tolerance.  A global level-set certificate closes it from the
 initial grid instead: for a level u just above the grid maximum,
 p(theta) = det(u I - H(theta)) is a real trigonometric polynomial of
@@ -37,9 +45,10 @@ degree <= n (up to the factor 2^n, the polynomial z^-n det(z^2 T -
 eigenvalue of H reaches u).  Its samples on the grid are products of
 the computed eigenvalues, and Bernstein's inequality bounds p between
 them; when that bound stays positive, no eigenvalue ever reaches u and
-w(T) < u.  It is tried once, before the first refinement, when the
-grid's interval certificates have not closed the bracket; when it does
-not hold, the branch-and-bound runs unchanged.
+w(T) < u.  It is tried once, on the filled-in initial grid before the
+first refinement, when the grid's interval certificates have not
+closed the bracket; when it does not hold, the branch-and-bound runs
+unchanged.
 
 The sweep runs on a Workspace, the per-matrix cache through which
 every public function takes its matrix in; it sits here, under the
@@ -53,7 +62,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import Timeout
+from .errors import NoConvergence, Timeout
 from .linalg import (
     EPS,
     as_matrix,
@@ -69,6 +78,7 @@ from .linalg import (
 )
 
 INITIAL_GRID = 360
+_COARSE_STEP = 8  # the sweep starts from every 8th angle of INITIAL_GRID
 MAX_ROUNDS = 40
 W_TERM_TOL = 1e-9
 _EVAL_CHUNK = 1 << 15
@@ -272,19 +282,26 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
 
     T is a matrix or its Workspace.  Sweeps g(theta) = ||H(theta)||
     over [0, pi), which carries the same certificate as lambda_max over
-    [0, 2pi) (see the module docstring): starts from 360 equispaced
-    angles (the spacing of 720 on the full circle).  When the grid's
-    interval certificates do not close the bracket but its eigenvalues
-    certify that no section reaches the level u = lower + 0.9 tol
-    (_level_set_empty: plateaus such as weighted shifts), the bracket
-    closes at once with upper = u, which is then below the grid's
-    proven bound.  Otherwise it keeps every
-    interval whose certified local maximum could still exceed the
-    proven lower bound, and halves those intervals until the bracket
-    closes or the round cap is hit (Timeout, whose message gives the
-    rounds, the section matrices evaluated and the intervals still
-    live).  Deterministic: ties in the running maximum are resolved
-    toward the smallest angle.
+    [0, 2pi) (see the module docstring): starts from 45 equispaced
+    angles, every 8th of the INITIAL_GRID = 360.  When that grid's
+    interval certificates neither close the bracket nor drop any
+    interval (as on plateaus such as weighted shifts), it fills in the
+    other 315 angles and starts over from all 360 (the spacing of 720
+    on the full circle).  If their certificates do not close the
+    bracket but their eigenvalues certify that no section reaches the
+    level u = lower + 0.9 tol (_level_set_empty), the bracket closes at
+    once with upper = u, which is then below the grid's proven bound.
+    Otherwise it keeps every interval whose certified local maximum
+    could still exceed the proven lower bound, and halves those
+    intervals until the bracket closes or the round cap is hit
+    (Timeout, whose message gives the rounds, the section matrices
+    evaluated and the intervals still live).  Deterministic: ties in
+    the running maximum are resolved toward the smallest angle.
+
+    Raises NoConvergence when the bracket around the witness value is
+    still wider than tol: tol is then below the rounding error of the
+    sections (about n eps ||T||), as for a Ginibre matrix scaled by
+    2^40 at tol 1e-9.
 
     The witness is the top eigenvector of H at the best angle, or the
     bottom one, with argmax_angle moved by pi, when -lambda_min is
@@ -301,39 +318,52 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
         return RadiusBracket(0.0, 0.0, 0.0, e1)
 
     re, im = ws.re_im
-    h = np.pi / INITIAL_GRID
-    thetas = np.arange(INITIAL_GRID) * h
-    spectra = herm_eigvals(_sections(re, im, thetas))
-    g = np.maximum(np.abs(spectra[:, 0]), np.abs(spectra[:, -1]))
-
-    best = int(np.argmax(g))
-    best_theta = float(thetas[best])
-    lower = float(g[best])
-
-    left, right = thetas, thetas + h
-    gl, gr = g, np.roll(g, -1)
-    sections = INITIAL_GRID
-
-    # Any proven upper bound works for the curvature certificate.
-    cap = min(nrm, lower + nrm * h / 2.0)
-    upper = cap
-
-    for rounds in range(MAX_ROUNDS):
-        slack = min(nrm * h / 2.0, cap * h * h / 8.0)
-        certs = np.maximum(gl, gr) + slack
+    grid = np.arange(INITIAL_GRID) * (np.pi / INITIAL_GRID)
+    angles = grid[::_COARSE_STEP]
+    spectra = herm_eigvals(_sections(re, im, angles))
+    sections = angles.size
+    rounds = 0
+    while True:
+        if rounds == 0:
+            # (Re)start from the sampled angles.  Every angle is within h / 2
+            # of one of them, so the L-Lipschitz g gives a first cap.
+            h = np.pi / angles.size
+            left, right = angles, angles + h
+            gl = np.maximum(np.abs(spectra[:, 0]), np.abs(spectra[:, -1]))
+            gr = np.roll(gl, -1)
+            best = int(np.argmax(gl))
+            lower, best_theta = float(gl[best]), float(angles[best])
+            upper = cap = min(nrm, lower + nrm * h / 2.0)
+        if rounds == MAX_ROUNDS:
+            raise Timeout(
+                f"radius bracket still {upper - lower:.3e} wide after {rounds} rounds:"
+                f" {sections} section matrices evaluated, {left.size} intervals live"
+            )
+        # Any proven upper bound works for the curvature certificate.
+        certs = np.maximum(gl, gr) + min(nrm * h / 2.0, cap * h * h / 8.0)
         upper = min(cap, max(lower, float(certs.max())))
         cap = upper
         # A small internal margin keeps the final bracket within tol even
         # after the witness inner product replaces the grid lower bound.
         if upper - lower <= 0.9 * tol:
             break
-        # Before any refinement, the grid's eigenvalues may certify that
-        # no section reaches the level: a plateau closes here.
-        if rounds == 0 and _level_set_empty(spectra, lower + 0.9 * tol, nrm):
+        keep = certs > lower
+        coarse = angles.size < INITIAL_GRID
+        if rounds == 0 and coarse and keep.all():
+            # Nothing dropped, as on a plateau: fill in the initial grid,
+            # keeping the coarse spectra, and start over from it.
+            rest = np.arange(INITIAL_GRID) % _COARSE_STEP != 0
+            full = np.empty((INITIAL_GRID, spectra.shape[1]))
+            full[~rest] = spectra
+            full[rest] = herm_eigvals(_sections(re, im, grid[rest]))
+            angles, spectra, sections = grid, full, INITIAL_GRID
+            continue
+        # Before any refinement, the initial grid's eigenvalues may certify
+        # that no section reaches the level: a plateau closes here.
+        if rounds == 0 and not coarse and _level_set_empty(spectra, lower + 0.9 * tol, nrm):
             upper = lower + 0.9 * tol
             break
         # Not empty: here upper > lower, and upper <= max(lower, certs.max()).
-        keep = certs > lower
         left, right = left[keep], right[keep]
         gl, gr = gl[keep], gr[keep]
         mid = (left + right) / 2.0
@@ -348,11 +378,7 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
         gl = _interleave(gl, gm)
         gr = _interleave(gm, gr)
         h /= 2.0
-    else:
-        raise Timeout(
-            f"radius bracket still {upper - lower:.3e} wide after {MAX_ROUNDS} rounds:"
-            f" {sections} section matrices evaluated, {left.size} intervals live"
-        )
+        rounds += 1
 
     vals, vecs = eigh_desc(_sections(re, im, np.array([best_theta]))[0])
     col = 0
@@ -360,9 +386,15 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
         col, best_theta = -1, best_theta + np.pi
     witness = phase_normalize(vecs[:, col])
     lower_final = float(abs(np.vdot(witness, a @ witness)))
+    upper = max(upper, lower_final)
+    if upper - lower_final > tol:
+        raise NoConvergence(
+            f"radius bracket {upper - lower_final:.3e} wide exceeds tol {tol:.3e} after {rounds}"
+            f" rounds and {sections} section matrices: tol is below the rounding of the sections"
+        )
     return RadiusBracket(
         lower=lower_final,
-        upper=max(upper, lower_final),
+        upper=upper,
         argmax_angle=float(best_theta % _TWO_PI),
         witness=witness,
     )

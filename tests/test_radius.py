@@ -5,6 +5,7 @@ import pytest
 
 import numrad.radius as radius_mod
 from numrad import (
+    NoConvergence,
     NotSquare,
     Timeout,
     cartesian_parts,
@@ -15,7 +16,7 @@ from numrad import (
 from numrad.linalg import EPS, herm_eigvals
 from numrad.worked_examples import LOWER_TRIANGULAR_2 as T2, SHIFT_3 as T3
 
-from conftest import random_complex, random_unitary
+from conftest import random_complex, random_hermitian, random_unitary
 
 SQRT5 = math.sqrt(5.0)
 
@@ -178,6 +179,42 @@ class TestNumericalRadius:
         numerical_radius(T3, 1e-8)
         assert sum(sections) == 360
 
+    def test_coarse_start_section_count(self, monkeypatch):
+        # Smooth inputs drop most of the coarse grid's intervals in round 0
+        # and never fill in the initial grid.
+        sections = count_sections(monkeypatch)
+        for a in (T2, random_complex(np.random.default_rng(8), 8)):
+            sections.clear()
+            numerical_radius(a, 1e-9)
+            assert sum(sections) < radius_mod.INITIAL_GRID // 3
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("ensemble", ["ginibre", "normal", "hermitian"])
+    def test_coarse_start_overlaps_the_grid_oracle(self, ensemble, n):
+        tol = 1e-9
+        rng = np.random.default_rng([n, len(ensemble)])
+        if ensemble == "ginibre":
+            a = random_complex(rng, n)
+        elif ensemble == "normal":
+            u = random_unitary(rng, n)
+            a = (u * (rng.standard_normal(n) + 1j * rng.standard_normal(n))) @ u.conj().T
+        else:
+            a = random_hermitian(rng, n)
+        bracket = numerical_radius(a, tol)
+        oracle = grid_oracle(a)
+        slack = tol + spectral_norm(a) * (2 * np.pi / 100_000)
+        assert oracle - slack <= bracket.lower <= bracket.upper <= oracle + slack
+
+    def test_bracket_wider_than_tol_is_refused(self):
+        # At 2^40 the witness value |<Tx, x>| is only known to about 1e-4,
+        # far above tol; the bracket used to come back 9.8e-4 wide.
+        a = random_complex(np.random.default_rng(3), 6) * 2.0**40
+        with pytest.raises(NoConvergence) as info:
+            numerical_radius(a, 1e-9)
+        message = str(info.value)
+        assert "wide exceeds tol 1.000e-09" in message
+        assert " rounds and " in message and " section matrices" in message
+
     def test_zero_matrix(self):
         bracket = numerical_radius(np.zeros((3, 3)), 1e-9)
         assert bracket.lower == 0.0 and bracket.upper == 0.0
@@ -201,8 +238,9 @@ class TestNumericalRadius:
             numerical_radius(T2, 1e-9)
         message = str(info.value)
         assert "after 0 rounds" in message
-        assert "360 section matrices evaluated" in message
-        assert "360 intervals live" in message
+        # Only the coarse start: every 8th angle of the initial grid.
+        assert "45 section matrices evaluated" in message
+        assert "45 intervals live" in message
 
     def test_requires_square(self):
         with pytest.raises(NotSquare):
@@ -238,6 +276,28 @@ class TestPlateauCertificate:
             numerical_radius(a, tol)
         assert calls == []
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-6], ids=["certified", "refined"])
+    def test_fill_path_reproduces_the_initial_grid(self, monkeypatch, eps):
+        # A shift drops nothing on the coarse grid, so the sweep fills in the
+        # initial grid and continues exactly as a sweep that started from it.
+        rng = np.random.default_rng(13)
+        a = weighted_shift(8, 1.0, rng.uniform(0.0, 2 * np.pi, 7)) + eps * random_complex(rng, 8)
+        seen = []
+        original = radius_mod._level_set_empty
+
+        def recording(vals, *args):
+            seen.append(vals)
+            return original(vals, *args)
+
+        monkeypatch.setattr(radius_mod, "_level_set_empty", recording)
+        filled = numerical_radius(a, 1e-8)
+        assert len(seen) == 1 and np.array_equal(seen[0], grid_eigvals(a))
+        monkeypatch.setattr(radius_mod, "_COARSE_STEP", 1)
+        direct = numerical_radius(a, 1e-8)
+        assert len(seen) == 2 and np.array_equal(seen[1], seen[0])
+        for field in ("lower", "upper", "argmax_angle", "witness"):
+            assert np.array_equal(getattr(filled, field), getattr(direct, field)), field
+
     def test_perturbed_shifts_overlap_the_sweep(self, monkeypatch):
         tol = 1e-8
         rng = np.random.default_rng(11)
@@ -255,7 +315,15 @@ class TestPlateauCertificate:
             return fired[-1]
 
         monkeypatch.setattr(radius_mod, "_level_set_empty", recording)
-        certified = [numerical_radius(a, tol) for a in cases]
+        sections = count_sections(monkeypatch)
+        certified = []
+        for a in cases:
+            sections.clear()
+            tried = len(fired)
+            certified.append(numerical_radius(a, tol))
+            # A certified plateau closes from the initial grid alone.
+            if fired[tried:] == [True]:
+                assert sum(sections) == radius_mod.INITIAL_GRID
         monkeypatch.setattr(radius_mod, "_level_set_empty", lambda *args: False)
         swept = [numerical_radius(a, tol) for a in cases]
         for a, c, s in zip(cases, certified, swept):
