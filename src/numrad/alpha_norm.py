@@ -30,11 +30,10 @@ import numpy as np
 from .bounds import OBJECTIVES, bound_th2
 from .errors import NoConvergence
 from .linalg import check_alpha, check_unit, eigh_desc, phase_normalize
-from .radius import Workspace, numerical_radius
+from .radius import Workspace
 
 GRAD_TOL = 1e-10
 MAX_STEPS = 500
-_WITNESS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ def alpha_norm_estimate(
     starts = [ws.gram_eig[1][:, 0]]
     if restarts >= 2:
         if radius_witness is None:
-            radius_witness = numerical_radius(ws, _WITNESS_TOL).witness
+            radius_witness = ws.radius_witness
         starts.append(np.asarray(radius_witness, dtype=np.complex128).reshape(-1))
     rng = np.random.default_rng(seed)
     while len(starts) < restarts:

@@ -171,12 +171,18 @@ class Workspace:
     @cached_property
     def w_mix_upper(self) -> float:
         """Upper endpoint of the bracket for w(|T| + i |T*|)."""
-        return numerical_radius(self.abs_t + 1j * self.abs_t_star, W_TERM_TOL).upper
+        return _sweep(self.abs_t + 1j * self.abs_t_star, W_TERM_TOL)[0].upper
 
     @cached_property
     def w_prod_upper(self) -> float:
         """Upper endpoint of the bracket for w(|T| |T*|)."""
-        return numerical_radius(self.abs_t @ self.abs_t_star, W_TERM_TOL).upper
+        return _sweep(self.abs_t @ self.abs_t_star, W_TERM_TOL)[0].upper
+
+    @cached_property
+    def radius_witness(self) -> np.ndarray:
+        """Witness vector of the w(T) sweep at W_TERM_TOL (a start for the
+        alpha-norm ascent, so the bracket's width is not checked)."""
+        return _sweep(self, W_TERM_TOL)[0].witness
 
 
 @dataclass(frozen=True)
@@ -308,6 +314,23 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
     strictly larger; an exact tie keeps the top eigenvector, so
     argmax_angle lies in [0, 2pi).
     """
+    bracket, rounds, sections = _sweep(t, tol)
+    width = bracket.upper - bracket.lower
+    if width > tol:
+        raise NoConvergence(
+            f"radius bracket {width:.3e} wide exceeds tol {tol:.3e} after {rounds} rounds"
+            f" and {sections} section matrices: tol is below the rounding of the sections"
+        )
+    return bracket
+
+
+def _sweep(t, tol: float) -> tuple[RadiusBracket, int, int]:
+    """numerical_radius without its width check, with the rounds and the
+    section matrices it took.  When tol is below the rounding of the
+    sections the bracket may come back wider than tol, but upper is
+    still a proven upper bound and lower a realized value |<Tx, x>|;
+    callers that read only upper or the witness use it directly.
+    """
     tol = float(tol)
     if not tol >= 1e-12:
         raise ValueError("tol must be at least 1e-12")
@@ -315,7 +338,7 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
     a, nrm = ws.a, ws.norm
     if nrm == 0.0:
         e1 = np.eye(1, a.shape[0], dtype=np.complex128)[0]
-        return RadiusBracket(0.0, 0.0, 0.0, e1)
+        return RadiusBracket(0.0, 0.0, 0.0, e1), 0, 0
 
     re, im = ws.re_im
     grid = np.arange(INITIAL_GRID) * (np.pi / INITIAL_GRID)
@@ -386,15 +409,13 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
         col, best_theta = -1, best_theta + np.pi
     witness = phase_normalize(vecs[:, col])
     lower_final = float(abs(np.vdot(witness, a @ witness)))
-    upper = max(upper, lower_final)
-    if upper - lower_final > tol:
-        raise NoConvergence(
-            f"radius bracket {upper - lower_final:.3e} wide exceeds tol {tol:.3e} after {rounds}"
-            f" rounds and {sections} section matrices: tol is below the rounding of the sections"
-        )
-    return RadiusBracket(
-        lower=lower_final,
-        upper=upper,
-        argmax_angle=float(best_theta % _TWO_PI),
-        witness=witness,
+    return (
+        RadiusBracket(
+            lower=lower_final,
+            upper=max(upper, lower_final),
+            argmax_angle=float(best_theta % _TWO_PI),
+            witness=witness,
+        ),
+        rounds,
+        sections,
     )

@@ -170,6 +170,13 @@ class TestEstimate:
                 assert est.best_value <= est.upper_cert + 1e-9
                 assert abs(est.best_value - est_adj.best_value) <= 1e-5
 
+    def test_witness_start_at_a_large_scale(self):
+        # The radius witness only seeds an ascent, so a w(T) bracket wider
+        # than tol (tol 1e-9 below the rounding at norm ~ 8e7) is no error.
+        a = random_matrix("ginibre", 8, np.random.default_rng(0)) * 2.0**24
+        est = alpha_norm_estimate(a, 0.5, restarts=2)
+        assert est.best_value <= est.upper_cert * (1 + 1e-12)
+
     def test_zero_matrix(self):
         est = alpha_norm_estimate(np.zeros((2, 2)), 0.5)
         assert est.best_value == 0.0 and est.upper_cert == 0.0

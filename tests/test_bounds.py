@@ -18,6 +18,7 @@ from numrad import (
     lower_general,
     numerical_radius,
     pp0_min,
+    random_matrix,
     spectral_norm,
 )
 from numrad.bounds import KIND_LOWER_W, KIND_UPPER_W, KIND_UPPER_W2
@@ -221,6 +222,18 @@ class TestBoundReport:
         # TH1 used to be NaN here and was reported as the tightest upper bound.
         with pytest.raises(NoConvergence):
             bound_report(1e100 * T2)
+
+    def test_wide_w_terms_do_not_refuse_the_report(self):
+        # At 2^12 the Buzano w-term |T||T*| (norm ~ 4e8) is swept at the
+        # absolute tol 1e-9 below its rounding; only its upper end is read,
+        # so the report stands as long as the w(T) bracket itself closes.
+        a = random_matrix("ginibre", 8, np.random.default_rng(2)) * 2.0**12
+        report = bound_report(a, 1e-9)
+        lo = report.w_bracket.lower
+        assert report.w_bracket.upper - lo <= 1e-9
+        for entry in report.entries:
+            if entry.is_upper:
+                assert entry.value_on_w_scale >= lo * (1 - 1e-12), entry
 
     def test_lower_triangular_2_low1_tight(self):
         report = bound_report(T2, 1e-9)

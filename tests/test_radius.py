@@ -156,9 +156,10 @@ class TestNumericalRadius:
 
     def test_grid_oracle_agreement(self, rng):
         tol = 1e-9
-        for n in (2, 3):
-            for _ in range(3):
-                a = random_complex(rng, n)
+        for n in (1, 2, 3, 5, 8, 16):
+            u = random_unitary(rng, n)
+            normal = (u * (rng.standard_normal(n) + 1j * rng.standard_normal(n))) @ u.conj().T
+            for a in (random_complex(rng, n), normal, random_hermitian(rng, n)):
                 bracket = numerical_radius(a, tol)
                 oracle = grid_oracle(a)
                 slack = tol + spectral_norm(a) * (2 * np.pi / 100_000)
@@ -187,23 +188,6 @@ class TestNumericalRadius:
             sections.clear()
             numerical_radius(a, 1e-9)
             assert sum(sections) < radius_mod.INITIAL_GRID // 3
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
-    @pytest.mark.parametrize("ensemble", ["ginibre", "normal", "hermitian"])
-    def test_coarse_start_overlaps_the_grid_oracle(self, ensemble, n):
-        tol = 1e-9
-        rng = np.random.default_rng([n, len(ensemble)])
-        if ensemble == "ginibre":
-            a = random_complex(rng, n)
-        elif ensemble == "normal":
-            u = random_unitary(rng, n)
-            a = (u * (rng.standard_normal(n) + 1j * rng.standard_normal(n))) @ u.conj().T
-        else:
-            a = random_hermitian(rng, n)
-        bracket = numerical_radius(a, tol)
-        oracle = grid_oracle(a)
-        slack = tol + spectral_norm(a) * (2 * np.pi / 100_000)
-        assert oracle - slack <= bracket.lower <= bracket.upper <= oracle + slack
 
     def test_bracket_wider_than_tol_is_refused(self):
         # At 2^40 the witness value |<Tx, x>| is only known to about 1e-4,
