@@ -131,7 +131,9 @@ def alpha_norm_estimate(
 
     The first start is the top right singular vector (exact maximizer at
     alpha = 0), the second the numerical-radius witness (near-maximizer
-    at alpha = 1, recomputed unless one is passed in), the rest uniform
+    at alpha = 1, recomputed unless one is passed in; a passed-in one
+    that is not a finite nonzero vector of length n raises ValueError
+    when restarts >= 2, the only case that uses it), the rest uniform
     draws from the complex unit sphere.  best_value is the maximum of
     the ascent limits, ties resolved toward the lowest restart index;
     upper_cert is min(||T||, sqrt(th2 bound), sqrt(gamma)) at the same
@@ -153,7 +155,13 @@ def alpha_norm_estimate(
     if restarts >= 2:
         if radius_witness is None:
             radius_witness = ws.radius_witness
-        starts.append(np.asarray(radius_witness, dtype=np.complex128).reshape(-1))
+        witness = np.asarray(radius_witness, dtype=np.complex128).reshape(-1)
+        if witness.size != n:
+            raise ValueError(f"radius_witness must have length {n}, got {witness.size}")
+        # The ascent divides by the witness norm: it must be positive and finite.
+        if not 0.0 < np.vdot(witness, witness).real < math.inf:
+            raise ValueError("radius_witness must be finite and nonzero")
+        starts.append(witness)
     rng = np.random.default_rng(seed)
     while len(starts) < restarts:
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -58,7 +58,10 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 def golden_section(f, lo: float = 0.0, hi: float = 1.0, tol: float = GOLDEN_TOL):
     """Minimize a convex f on [lo, hi]; returns (argmin, value) at the best
-    point actually evaluated (endpoints included)."""
+    point actually evaluated (endpoints included).  Raises ValueError
+    unless tol > 0 and lo <= hi."""
+    if not (tol > 0.0 and lo <= hi):
+        raise ValueError(f"golden_section needs tol > 0 and lo <= hi, got tol={tol}, [{lo}, {hi}]")
     best_x, best_f = lo, f(lo)
     fhi = f(hi)
     if fhi < best_f:

@@ -32,8 +32,11 @@ every 8th angle of the INITIAL_GRID = 360 angles (45 angles,
 h = pi / 45): on smooth inputs round 0 already drops most intervals.
 When it drops none and does not close the bracket, the sweep fills in
 the other 315 angles (one stacked eigvalsh, the 45 coarse spectra
-kept) and starts over from the initial grid, exactly as if it had
-started there.
+kept), takes its lower bound from the filled-in grid and tries the
+level-set certificate below on it; when that refuses, the refinement
+goes on from the 45 coarse intervals.  A live interval is an integer k
+at spacing h_r = (pi / 45) / 2^r, so every angle is exactly k h_r and
+round 3 samples the initial grid's angles as the same floats.
 
 On a plateau no interval certificate ever falls below the others, so
 branch and bound would refine every interval until W h^2 / 8 fits
@@ -46,8 +49,8 @@ eigenvalue of H reaches u).  Its samples on the grid are products of
 the computed eigenvalues, and Bernstein's inequality bounds p between
 them; when that bound stays positive, no eigenvalue ever reaches u and
 w(T) < u.  It is tried once, on the filled-in initial grid before the
-first refinement, when the grid's interval certificates have not
-closed the bracket; when it does not hold, the branch-and-bound runs
+first refinement, when round 0 has neither closed the bracket nor
+dropped an interval; when it does not hold, the branch-and-bound runs
 unchanged.
 
 The sweep runs on a Workspace, the per-matrix cache through which
@@ -213,8 +216,13 @@ def _sections(re: np.ndarray, im: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 
 def hermitian_section(t, theta: float) -> np.ndarray:
-    """The section (e^{i theta} T + e^{-i theta} T*) / 2 = cos(theta) Re T - sin(theta) Im T."""
-    return _sections(*Workspace.of(t).re_im, np.array([float(theta)]))[0]
+    """The section (e^{i theta} T + e^{-i theta} T*) / 2 = cos(theta) Re T - sin(theta) Im T.
+
+    Raises ValueError for a non-finite theta."""
+    theta = float(theta)
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    return _sections(*Workspace.of(t).re_im, np.array([theta]))[0]
 
 
 def _section_norms(re: np.ndarray, im: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -292,14 +300,14 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
     angles, every 8th of the INITIAL_GRID = 360.  When that grid's
     interval certificates neither close the bracket nor drop any
     interval (as on plateaus such as weighted shifts), it fills in the
-    other 315 angles and starts over from all 360 (the spacing of 720
-    on the full circle).  If their certificates do not close the
-    bracket but their eigenvalues certify that no section reaches the
-    level u = lower + 0.9 tol (_level_set_empty), the bracket closes at
-    once with upper = u, which is then below the grid's proven bound.
-    Otherwise it keeps every interval whose certified local maximum
-    could still exceed the proven lower bound, and halves those
-    intervals until the bracket closes or the round cap is hit
+    other 315 angles and takes the lower bound from all 360 (the
+    spacing of 720 on the full circle).  If their eigenvalues certify
+    that no section reaches the level u = lower + 0.9 tol
+    (_level_set_empty), the bracket closes at once with upper = u, or
+    the coarse grid's proven bound if that is smaller.  Otherwise it
+    keeps every interval whose certified local maximum could still
+    exceed the proven lower bound, and halves those intervals, from
+    the 45 coarse ones, until the bracket closes or the round cap is hit
     (Timeout, whose message gives the rounds, the section matrices
     evaluated and the intervals still live).  Deterministic: ties in
     the running maximum are resolved toward the smallest angle.
@@ -341,66 +349,64 @@ def _sweep(t, tol: float) -> tuple[RadiusBracket, int, int]:
         return RadiusBracket(0.0, 0.0, 0.0, e1), 0, 0
 
     re, im = ws.re_im
-    grid = np.arange(INITIAL_GRID) * (np.pi / INITIAL_GRID)
-    angles = grid[::_COARSE_STEP]
-    spectra = herm_eigvals(_sections(re, im, angles))
-    sections = angles.size
+    # Live interval k is [k h, (k + 1) h], and h halves each round, so every
+    # angle is exactly k h: the initial grid's angles j pi / INITIAL_GRID
+    # come back as the same floats once h has halved down to their spacing.
+    h = np.pi * _COARSE_STEP / INITIAL_GRID
+    k = np.arange(INITIAL_GRID // _COARSE_STEP)
+    spectra = herm_eigvals(_sections(re, im, k * h))
+    sections = k.size
+    gl = np.maximum(np.abs(spectra[:, 0]), np.abs(spectra[:, -1]))
+    gr = np.roll(gl, -1)
+    best = int(np.argmax(gl))
+    lower, best_theta = float(gl[best]), best * h
+    # Every angle is within h / 2 of a sample, so the L-Lipschitz g gives a first cap.
+    upper = cap = min(nrm, lower + nrm * h / 2.0)
     rounds = 0
     while True:
-        if rounds == 0:
-            # (Re)start from the sampled angles.  Every angle is within h / 2
-            # of one of them, so the L-Lipschitz g gives a first cap.
-            h = np.pi / angles.size
-            left, right = angles, angles + h
-            gl = np.maximum(np.abs(spectra[:, 0]), np.abs(spectra[:, -1]))
-            gr = np.roll(gl, -1)
-            best = int(np.argmax(gl))
-            lower, best_theta = float(gl[best]), float(angles[best])
-            upper = cap = min(nrm, lower + nrm * h / 2.0)
         if rounds == MAX_ROUNDS:
             raise Timeout(
                 f"radius bracket still {upper - lower:.3e} wide after {rounds} rounds:"
-                f" {sections} section matrices evaluated, {left.size} intervals live"
+                f" {sections} section matrices evaluated, {k.size} intervals live"
             )
         # Any proven upper bound works for the curvature certificate.
         certs = np.maximum(gl, gr) + min(nrm * h / 2.0, cap * h * h / 8.0)
-        upper = min(cap, max(lower, float(certs.max())))
-        cap = upper
+        upper = cap = min(cap, max(lower, float(certs.max())))
         # A small internal margin keeps the final bracket within tol even
         # after the witness inner product replaces the grid lower bound.
         if upper - lower <= 0.9 * tol:
             break
         keep = certs > lower
-        coarse = angles.size < INITIAL_GRID
-        if rounds == 0 and coarse and keep.all():
+        if rounds == 0 and keep.all():
             # Nothing dropped, as on a plateau: fill in the initial grid,
-            # keeping the coarse spectra, and start over from it.
-            rest = np.arange(INITIAL_GRID) % _COARSE_STEP != 0
+            # keeping the coarse spectra, take the lower bound from it and
+            # try the level-set certificate on its eigenvalues.
+            fill = np.flatnonzero(np.arange(INITIAL_GRID) % _COARSE_STEP)
             full = np.empty((INITIAL_GRID, spectra.shape[1]))
-            full[~rest] = spectra
-            full[rest] = herm_eigvals(_sections(re, im, grid[rest]))
-            angles, spectra, sections = grid, full, INITIAL_GRID
-            continue
-        # Before any refinement, the initial grid's eigenvalues may certify
-        # that no section reaches the level: a plateau closes here.
-        if rounds == 0 and not coarse and _level_set_empty(spectra, lower + 0.9 * tol, nrm):
-            upper = lower + 0.9 * tol
-            break
-        # Not empty: here upper > lower, and upper <= max(lower, certs.max()).
-        left, right = left[keep], right[keep]
-        gl, gr = gl[keep], gr[keep]
-        mid = (left + right) / 2.0
-        gm = _section_norms(re, im, mid)
+            full[::_COARSE_STEP] = spectra
+            full[fill] = herm_eigvals(_sections(re, im, fill * (h / _COARSE_STEP)))
+            sections += fill.size
+            g = np.maximum(np.abs(full[:, 0]), np.abs(full[:, -1]))
+            best = int(np.argmax(g))
+            lower, best_theta = float(g[best]), best * (h / _COARSE_STEP)
+            # upper is already a proven bound, so the certificate can only tighten it.
+            if _level_set_empty(full, lower + 0.9 * tol, nrm):
+                upper = min(upper, lower + 0.9 * tol)
+                break
+        # Not closed, so some interval is kept: at the check above upper > lower
+        # and upper <= max(lower, certs.max()); a plateau keeps all of them.
+        k, gl, gr = k[keep], gl[keep], gr[keep]
+        h /= 2.0
+        mid = 2 * k + 1
+        gm = _section_norms(re, im, mid * h)
         sections += mid.size
         j = int(np.argmax(gm))
         if float(gm[j]) > lower:
             lower = float(gm[j])
-            best_theta = float(mid[j])
-        left = _interleave(left, mid)
-        right = _interleave(mid, right)
+            best_theta = float(mid[j] * h)
+        k = _interleave(2 * k, mid)
         gl = _interleave(gl, gm)
         gr = _interleave(gm, gr)
-        h /= 2.0
         rounds += 1
 
     vals, vecs = eigh_desc(_sections(re, im, np.array([best_theta]))[0])

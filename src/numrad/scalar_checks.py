@@ -10,6 +10,7 @@ pair (|T*|x, |T|x) at e = x.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -33,9 +34,9 @@ def _quad(h: np.ndarray, v: np.ndarray) -> float:
 
 
 def hoelder_mccarthy_slack(p, x, s: float) -> float:
-    """<P^s x, x> - <P x, x>^s for Hermitian PSD P, unit x and s >= 1."""
-    if s < 1.0:
-        raise BadExponent(f"exponent must be >= 1, got {s}")
+    """<P^s x, x> - <P x, x>^s for Hermitian PSD P, unit x and finite s >= 1."""
+    if not 1.0 <= s < math.inf:
+        raise BadExponent(f"exponent must be finite and >= 1, got {s}")
     a = require_square(as_matrix(p))
     v = check_unit(x)
     vals, vecs = eigh_desc(a)

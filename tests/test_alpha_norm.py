@@ -197,3 +197,20 @@ class TestEstimate:
     def test_rejects_bad_restarts(self):
         with pytest.raises(ValueError):
             alpha_norm_estimate(T2, 0.5, restarts=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "witness, match",
+        [
+            (np.ones(2), "must have length 3, got 2"),
+            (np.zeros(3), "finite and nonzero"),
+            (np.array([1.0, np.nan, 0.0]), "finite and nonzero"),
+            (np.array([np.inf, 0.0, 0.0]), "finite and nonzero"),
+        ],
+        ids=["short", "zero", "nan", "inf"],
+    )
+    def test_rejects_bad_witness(self, witness, match):
+        # A zero witness used to warn and end in NoConvergence from the
+        # eigensolver; a short one in a raw numpy matmul error.
+        with pytest.raises(ValueError, match=match):
+            alpha_norm_estimate(T3, 0.5, restarts=2, radius_witness=witness)

@@ -44,6 +44,16 @@ class TestGoldenSection:
         assert x == pytest.approx(0.5, abs=1e-6)
         assert val == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "lo, hi, tol",
+        [(0.0, 1.0, 0.0), (0.0, 1.0, -1e-3), (0.0, 1.0, float("nan")), (1.0, 0.0, 1e-6), (float("nan"), 1.0, 1e-6)],
+        ids=["tol-zero", "tol-negative", "tol-nan", "reversed", "lo-nan"],
+    )
+    def test_rejects_bad_interval_or_tol(self, lo, hi, tol):
+        # tol = 0 never returned; the others returned the best of 4 points.
+        with pytest.raises(ValueError, match="tol > 0 and lo <= hi"):
+            golden_section(lambda a: (a - 0.3) ** 2, lo, hi, tol)
+
 
 class TestTh1:
     def test_shift3_alpha_one_half_exponent(self):

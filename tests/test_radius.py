@@ -82,6 +82,13 @@ class TestHermitianSection:
             hermitian_section(np.ones((2, 3)), 0.1)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_theta(self, theta):
+        # Used to return an all-NaN matrix (nan) or warn in cos/sin (inf).
+        with pytest.raises(ValueError, match="theta must be finite"):
+            hermitian_section(T2, theta)
+
+    @pytest.mark.filterwarnings("error")
     def test_finite_near_the_top_of_the_range(self):
         h = hermitian_section(1e308 * np.ones((2, 2)), 0.3)
         assert np.allclose(h, np.cos(0.3) * 1e308 * np.ones((2, 2)), rtol=1e-15, atol=0)
@@ -191,8 +198,8 @@ class TestNumericalRadius:
 
     def test_bracket_wider_than_tol_is_refused(self):
         # At 2^40 the witness value |<Tx, x>| is only known to about 1e-4,
-        # far above tol; the bracket used to come back 9.8e-4 wide.
-        a = random_complex(np.random.default_rng(3), 6) * 2.0**40
+        # far above tol: this bracket ends 2.4e-3 wide.
+        a = random_complex(np.random.default_rng(5), 6) * 2.0**40
         with pytest.raises(NoConvergence) as info:
             numerical_radius(a, 1e-9)
         message = str(info.value)

@@ -78,3 +78,10 @@ def test_rejects_bad_inputs():
         scalar_inequality_checks(T2, E1_2, E1_2, 1.5)
     with pytest.raises(BadExponent):
         hoelder_mccarthy_slack(np.eye(2), E1_2, 0.5)
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf")])
+def test_hoelder_mccarthy_rejects_non_finite_exponent(s):
+    # Used to raise NoConvergence ("the matrix is too large") from the power.
+    with pytest.raises(BadExponent, match="finite"):
+        hoelder_mccarthy_slack(np.diag([2.0, 0.5]), E1_2, s)
