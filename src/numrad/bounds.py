@@ -1,13 +1,19 @@
 """Catalog of numerical radius bounds.
 
 Every bound is a named, evaluable formula on |T| = (T*T)^(1/2) and
-|T*| = (TT*)^(1/2).  Bounds with a free mixing parameter are minimized
-by golden-section search on [0, 1]; each such objective is the norm of
-an affine matrix-valued map plus a linear term, hence convex.  Bounds
-quoted on the w^2 scale are square-rooted before any comparison with
-w(T).  Numerical radius terms appearing inside upper-bound formulas use
-the bracket's upper endpoint so the result stays a certified upper
-bound.
+|T*| = (TT*)^(1/2).  Bounds with a free mixing parameter are minimums
+over alpha in [0, 1] of an objective that is the top eigenvalue of an
+affine PSD family plus a linear term, hence convex.  The objectives are
+minimized together, one stacked eigen-solve per round: each round
+evaluates every unfinished objective once, and the top eigenvector
+gives its slope.  A secant step on the slopes (with the Illinois rule
+for a stalled end) or, on a linear piece, the crossing of the
+bracket's two tangent lines picks the next alpha.  The tangent lines
+bound the minimum from below (Kelley's cutting-plane bound), so each
+minimum comes with a gap.  Bounds quoted on the w^2 scale are
+square-rooted before any comparison with w(T).  Numerical radius terms
+appearing inside upper-bound formulas use the bracket's upper endpoint
+so the result stays a certified upper bound.
 
 Report identifiers:
 
@@ -31,18 +37,24 @@ duplicated rows mirror how the optimized forms are derived from the
 pointwise ones.
 
 The catalog is one table, CATALOG, over a shared Workspace: each row
-is an alpha-objective minimized once per matrix, a fixed formula, or a
-min / square root of other rows.  The public bound_* functions are
-views of the same objectives and formulas.
+is an alpha-objective minimized once per matrix (one joint search
+covers all six), a fixed formula, or a min / square root of other
+rows.  The public bound_* functions are views of the same objectives
+and formulas; gamma_delta, pp0_min and bound_th4_impr1 run the same
+search on their own objectives, so they equal the report's rows.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import BadExponent
-from .linalg import check_alpha, herm_norm, hermitian_product
+import numpy as np
+
+from .errors import BadExponent, NoConvergence
+from .linalg import check_alpha, herm_norm, herm_top_eigpairs, hermitian_product
 from .radius import RadiusBracket, Workspace, numerical_radius
 
 KIND_UPPER_W2 = "upper-on-w2"
@@ -51,6 +63,11 @@ KIND_LOWER_W = "lower-on-w"
 
 R_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 GOLDEN_TOL = 1e-10
+# The catalog's search ends an objective once its tangent-line gap is at
+# most GAP_TOL * max(1, value), or after MAX_EVALUATIONS points, which is
+# golden_section's own count at GOLDEN_TOL.
+GAP_TOL = 1e-12
+MAX_EVALUATIONS = 52
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -59,9 +76,9 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 def golden_section(f, lo: float = 0.0, hi: float = 1.0, tol: float = GOLDEN_TOL):
     """Minimize a convex f on [lo, hi]; returns (argmin, value) at the best
     point actually evaluated (endpoints included).  Raises ValueError
-    unless tol > 0 and lo <= hi."""
-    if not (tol > 0.0 and lo <= hi):
-        raise ValueError(f"golden_section needs tol > 0 and lo <= hi, got tol={tol}, [{lo}, {hi}]")
+    unless tol > 0 and lo <= hi, both finite."""
+    if not (tol > 0.0 and lo <= hi and math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"golden_section needs tol > 0 and lo <= hi, both finite, got tol={tol}, [{lo}, {hi}]")
     best_x, best_f = lo, f(lo)
     fhi = f(hi)
     if fhi < best_f:
@@ -93,38 +110,177 @@ def golden_section(f, lo: float = 0.0, hi: float = 1.0, tol: float = GOLDEN_TOL)
     return float(best_x), float(best_f)
 
 
-def _mix(a: float, x, y) -> float:
-    return herm_norm(a * x + (1.0 - a) * y)
+class Objective(NamedTuple):
+    """lambda_max(p(a) X + q(a) Y) + a c over a in [0, 1], with X and Y the
+    PSD workspace matrices named x and y, p(a) = p[0] + p[1] a and
+    q(a) = q[0] + q[1] a nonnegative there, and c = c(ws) >= 0.
+
+    This is the top eigenvalue of an affine PSD family plus a linear term,
+    hence convex in a.  For a unit top eigenvector v at a,
+    p[1] <Xv, v> + q[1] <Yv, v> + c is a slope (subgradient) there, and
+    the objective lies above the tangent line it defines.
+    """
+
+    x: str
+    y: str
+    p: tuple[float, float]
+    q: tuple[float, float]
+    c: Callable[[Workspace], float]
+
+    def matrix(self, ws: Workspace, a: float) -> np.ndarray:
+        p, q = self.p[0] + self.p[1] * a, self.q[0] + self.q[1] * a
+        return p * getattr(ws, self.x) + q * getattr(ws, self.y)
+
+    def __call__(self, ws: Workspace, a: float) -> float:
+        return herm_norm(self.matrix(ws, a)) + a * self.c(ws)
 
 
-def _refined(ws: Workspace, a: float, x, y) -> float:
-    return herm_norm((1.0 - 0.75 * a) * x + 0.25 * a * y) + 0.5 * a * ws.re_cross_norm
+def _no_linear_term(ws: Workspace) -> float:
+    return 0.0
 
 
-def _buzano(ws: Workspace, a: float, x, y) -> float:
-    common = (a / 4.0) * ws.w_mix_upper**2 + (a / 4.0) * ws.w_prod_upper
-    return common + herm_norm((1.0 - 7.0 * a / 8.0) * x + (a / 8.0) * y)
+def _half_re_cross(ws: Workspace) -> float:
+    return 0.5 * ws.re_cross_norm
 
 
-# The alpha-objectives, each convex in alpha on [0, 1]: the norm of an
-# affine matrix family plus a linear term.
+def _buzano_w_terms(ws: Workspace) -> float:
+    return (ws.w_mix_upper**2 + ws.w_prod_upper) / 4.0
+
+
+# The alpha-objectives, each declared once: its value and the search's
+# slope both come from this row.
 OBJECTIVES = {
-    "gamma": lambda ws, a: _refined(ws, a, ws.gram, ws.cogram),
-    "delta": lambda ws, a: _refined(ws, a, ws.cogram, ws.gram),
-    "pp0": lambda ws, a: _mix(a, ws.gram, ws.cogram),
-    "th3": lambda ws, a: _buzano(ws, a, ws.gram, ws.cogram),
-    "cor3": lambda ws, a: _buzano(ws, a, ws.cogram, ws.gram),
-    "moduli_mix": lambda ws, a: _mix(a, ws.abs_t, ws.abs_t_star),
+    "gamma": Objective("gram", "cogram", (1.0, -0.75), (0.0, 0.25), _half_re_cross),
+    "delta": Objective("cogram", "gram", (1.0, -0.75), (0.0, 0.25), _half_re_cross),
+    "pp0": Objective("gram", "cogram", (0.0, 1.0), (1.0, -1.0), _no_linear_term),
+    "th3": Objective("gram", "cogram", (1.0, -0.875), (0.0, 0.125), _buzano_w_terms),
+    "cor3": Objective("cogram", "gram", (1.0, -0.875), (0.0, 0.125), _buzano_w_terms),
+    "moduli_mix": Objective("abs_t", "abs_t_star", (0.0, 1.0), (1.0, -1.0), _no_linear_term),
 }
 
 
-def _minimize(ws: Workspace, name: str) -> tuple[float, float]:
-    """(argmin, minimum) over alpha in [0, 1] of the objective called name."""
-    if name == "moduli_mix" and ws.norm == 0.0:
-        # |T| = |T*| = 0: nothing to mix, report the midpoint.
-        return 0.5, 0.0
-    objective = OBJECTIVES[name]
-    return golden_section(lambda a: objective(ws, a))
+class Minimum(NamedTuple):
+    """An objective's minimum over [0, 1]: the best alpha evaluated, the
+    objective's value there, and the tangent-line gap, so that the true
+    minimum lies in [value - gap, value] (in exact arithmetic)."""
+
+    alpha: float
+    value: float
+    gap: float
+
+
+class _Search:
+    """One objective's state in the joint search.
+
+    Evaluated points are (alpha, value, slope), and best is the first
+    point of least value.  After round 0, ends[0] and ends[1] bracket the
+    minimizer: the slope is negative at the left end and nonnegative at
+    the right end.  lower is the least value of the two ends' tangent
+    lines where they cross, a lower bound on the minimum.
+    """
+
+    def __init__(self, objective: Objective, ws: Workspace):
+        self.objective = objective
+        self.x, self.y = getattr(ws, objective.x), getattr(ws, objective.y)
+        self.c = objective.c(ws)
+        self.points: list[tuple[float, float, float]] = []
+        self.best = (0.0, math.inf, 0.0)
+        self.ends: list[tuple[float, float, float]] = []
+        self.lower = -math.inf
+        self.side, self.run = -1, 0  # the end replaced last, and how many times running
+        self.next: tuple[float, ...] = (0.0, 1.0)
+
+    def add(self, a: float, top: float, v: np.ndarray) -> None:
+        value = float(top) + a * self.c
+        slope = (
+            self.objective.p[1] * np.vdot(v, self.x @ v).real
+            + self.objective.q[1] * np.vdot(v, self.y @ v).real
+            + self.c
+        )
+        if not (math.isfinite(value) and math.isfinite(slope)):
+            raise NoConvergence("alpha-objective not finite: the matrix is too large")
+        self.points.append((a, value, float(slope)))
+        if value < self.best[1]:
+            self.best = self.points[-1]
+
+    def advance(self) -> bool:
+        """Take in the round's points; True, with the next alpha set, unless finished."""
+        linear = False
+        if not self.ends:
+            start, end = self.points
+            # A slope >= 0 at 0 or <= 0 at 1 puts the minimum at that end.
+            if start[2] >= 0.0 or end[2] <= 0.0:
+                self.lower = start[1] if start[2] >= 0.0 else end[1]
+                return False
+            self.ends = [start, end]
+        else:
+            new = self.points[-1]
+            side = int(new[2] >= 0.0)
+            old = self.ends[side]
+            # Equal slopes at both points: the objective is linear between them.
+            linear = abs(new[2] - old[2]) <= GAP_TOL * max(abs(new[2]), abs(old[2]))
+            self.run = self.run + 1 if side == self.side else 1
+            self.side = side
+            self.ends[side] = new
+        (a, fa, ga), (b, fb, gb) = self.ends
+        # Where the tangent lines cross, the smaller of the two is at most
+        # the least value of their maximum, which is below the objective
+        # on [a, b]; outside [a, b] the objective exceeds fa or fb.
+        t = min(max((fb - fa + ga * a - gb * b) / (ga - gb), a), b)
+        self.lower = min(fa + ga * (t - a), fb + gb * (t - b))
+        best = self.best[1]
+        if best - self.lower <= GAP_TOL * max(1.0, best) or len(self.points) >= MAX_EVALUATIONS:
+            return False
+        # On a linear piece the next point is the tangent lines' crossing t,
+        # which lands on a kink between two pieces.  Elsewhere it is a
+        # secant step on the slopes, exact on a quadratic; the end left in
+        # place k >= 2 rounds running has its slope divided by 2^(k-1)
+        # (the Illinois rule), so a stalled end is moved in turn.
+        if not linear:
+            if self.run >= 2:
+                if self.side == 0:
+                    gb /= 2.0 ** (self.run - 1)
+                else:
+                    ga /= 2.0 ** (self.run - 1)
+            t = a + (b - a) * (ga / (ga - gb))
+        if not a < t < b:
+            return False
+        self.next = (t,)
+        return True
+
+
+def _minimize(ws: Workspace, names) -> tuple[dict[str, Minimum], int, int]:
+    """Minimize the named objectives over alpha in [0, 1] together.
+
+    Each round evaluates every unfinished objective at its next alpha
+    with one stacked herm_top_eigpairs call; round 0 evaluates alpha = 0
+    and 1.  Returns the minima by name, the rounds and the matrices
+    evaluated.  The reported value is OBJECTIVES[name](ws, alpha) at the
+    best alpha evaluated.
+    """
+    searches: dict[str, _Search] = {}
+    minima: dict[str, Minimum] = {}
+    for name in names:
+        if name == "moduli_mix" and ws.norm == 0.0:
+            # |T| = |T*| = 0: nothing to mix, report the midpoint.
+            minima[name] = Minimum(0.5, 0.0, 0.0)
+        else:
+            searches[name] = _Search(OBJECTIVES[name], ws)
+    rounds = matrices = 0
+    live = list(searches.values())
+    while live:
+        trials = [(s, a) for s in live for a in s.next]
+        tops, vecs = herm_top_eigpairs(np.stack([s.objective.matrix(ws, a) for s, a in trials]))
+        rounds += 1
+        matrices += len(trials)
+        for (s, a), top, v in zip(trials, tops, vecs):
+            s.add(a, top, v)
+        live = [s for s in live if s.advance()]
+    for name, s in searches.items():
+        alpha = s.best[0]
+        value = OBJECTIVES[name](ws, alpha)
+        minima[name] = Minimum(alpha, value, max(value - s.lower, 0.0))
+    return {name: minima[name] for name in names}, rounds, matrices
 
 
 def _th1(ws: Workspace, alpha: float, r: float) -> float:
@@ -190,9 +346,8 @@ def gamma_delta(t) -> tuple[float, float, float, float]:
 
     and delta with the moduli squares swapped inside the norm.
     """
-    ws = Workspace.of(t)
-    a_g, g2 = _minimize(ws, "gamma")
-    a_d, d2 = _minimize(ws, "delta")
+    minima, _, _ = _minimize(Workspace.of(t), ("gamma", "delta"))
+    (a_g, g2, _), (a_d, d2, _) = minima.values()
     return math.sqrt(max(g2, 0.0)), math.sqrt(max(d2, 0.0)), a_g, a_d
 
 
@@ -201,12 +356,13 @@ def bound_th2(t, alpha: float) -> float:
     bound on the squared alpha-norm."""
     alpha = check_alpha(alpha)
     ws = Workspace.of(t)
-    return min(_mix(alpha, ws.gram, ws.cogram), _mix(alpha, ws.cogram, ws.gram))
+    orientations = ((ws.gram, ws.cogram), (ws.cogram, ws.gram))
+    return min(herm_norm(alpha * x + (1.0 - alpha) * y) for x, y in orientations)
 
 
 def pp0_min(t) -> tuple[float, float]:
     """min over alpha of ||a|T|^2 + (1-a)|T*|^2||, with the minimizer."""
-    a_star, val = _minimize(Workspace.of(t), "pp0")
+    a_star, val, _ = _minimize(Workspace.of(t), ("pp0",))[0]["pp0"]
     return val, a_star
 
 
@@ -246,7 +402,7 @@ def bound_th4_impr1(t) -> tuple[float, float, float]:
                     that never exceeds ||T||.
     """
     ws = Workspace.of(t)
-    a_star, inner = _minimize(ws, "moduli_mix")
+    a_star, inner, _ = _minimize(ws, ("moduli_mix",))[0]["moduli_mix"]
     return inner, a_star, math.sqrt(max(inner * ws.norm, 0.0))
 
 
@@ -285,8 +441,14 @@ class BoundValue:
 @dataclass(frozen=True)
 class BoundReport:
     """Every catalog bound evaluated on one matrix, with the certified
-    radius bracket for comparison.  minima maps each objective name to
-    the (argmin, minimum) of its one golden-section search."""
+    radius bracket for comparison.
+
+    All six objectives are minimized by one joint search.  minima maps
+    each objective name to its (argmin, minimum), and gaps to its
+    tangent-line gap: the true minimum is at least minimum - gap.
+    search_rounds counts the search's stacked eigen-solves and
+    search_matrices the matrices they decomposed.
+    """
 
     w_bracket: RadiusBracket
     norm: float
@@ -294,20 +456,19 @@ class BoundReport:
     tightest_upper: str
     tightest_lower: str
     minima: dict[str, tuple[float, float]]
+    gaps: dict[str, float]
+    search_rounds: int
+    search_matrices: int
 
 
-def _catalog(ws: Workspace) -> tuple[tuple[BoundValue, ...], dict[str, tuple[float, float]]]:
-    minima: dict[str, tuple[float, float]] = {}
+def _catalog(ws: Workspace, minima: dict[str, Minimum]) -> tuple[BoundValue, ...]:
     rows: dict[str, BoundValue] = {}
 
     def found(name: str) -> tuple[float, float | None]:
         """(value, alpha_at) of an earlier row or of an objective minimum."""
         if name in rows:
             return rows[name].value, rows[name].alpha_at
-        if name not in minima:
-            minima[name] = _minimize(ws, name)
-        alpha, value = minima[name]
-        return value, alpha
+        return minima[name].value, minima[name].alpha
 
     for bound_id, kind, source, arg in CATALOG:
         alpha_at = r_at = None
@@ -324,12 +485,13 @@ def _catalog(ws: Workspace) -> tuple[tuple[BoundValue, ...], dict[str, tuple[flo
             elif source == "norm-times":
                 value = value * ws.norm
         rows[bound_id] = BoundValue(bound_id, kind, value, alpha_at, r_at)
-    return tuple(rows.values()), minima
+    return tuple(rows.values())
 
 
 def report_from_workspace(ws: Workspace, bracket: RadiusBracket) -> BoundReport:
     """The catalog on a workspace, against an already computed w(T) bracket."""
-    entries, minima = _catalog(ws)
+    minima, rounds, matrices = _minimize(ws, OBJECTIVES)
+    entries = _catalog(ws, minima)
     uppers = [e for e in entries if e.is_upper]
     lowers = [e for e in entries if not e.is_upper]
     tight_up = min(uppers, key=lambda e: (e.value_on_w_scale, e.bound_id))
@@ -340,7 +502,10 @@ def report_from_workspace(ws: Workspace, bracket: RadiusBracket) -> BoundReport:
         entries=entries,
         tightest_upper=tight_up.bound_id,
         tightest_lower=tight_lo.bound_id,
-        minima=minima,
+        minima={name: (m.alpha, m.value) for name, m in minima.items()},
+        gaps={name: m.gap for name, m in minima.items()},
+        search_rounds=rounds,
+        search_matrices=matrices,
     )
 
 

@@ -3,8 +3,8 @@
 Everything downstream (radius sweeps, bound formulas, pencil
 certificates) is built from a handful of spectral operations collected
 here: the one checked route to numpy's Hermitian eigensolvers
-(eigh_desc, and herm_eigvals with its view herm_norms), checked
-Hermitian products, PSD powers,
+(eigh_desc, herm_top_eigpairs, and herm_eigvals with its view
+herm_norms), checked Hermitian products, PSD powers,
 Cartesian parts and the comparison of two numerical kernels.  The
 per-matrix helpers built on them (polar_moduli, hermitian_section,
 kernels_equal) read a radius.Workspace.  All functions are pure, take
@@ -91,6 +91,22 @@ def herm_eigvals(stack: np.ndarray) -> np.ndarray:
     if not np.isfinite(vals).all():
         raise NoConvergence("non-finite eigenvalue: an intermediate matrix overflowed")
     return vals
+
+
+def herm_top_eigpairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenvalue and a unit eigenvector for it, of each matrix of a Hermitian stack.
+
+    Values have shape stack.shape[:-2] and vectors stack.shape[:-1].  Only
+    the lower triangle of each matrix is read.  Raises NoConvergence
+    rather than return a non-finite value or vector.
+    """
+    try:
+        vals, vecs = np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigensolver failed: {exc}") from exc
+    if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
+        raise NoConvergence("non-finite eigenpair: an intermediate matrix overflowed")
+    return vals[..., -1], vecs[..., -1]
 
 
 def herm_norms(stack: np.ndarray) -> np.ndarray:

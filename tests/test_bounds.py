@@ -7,6 +7,7 @@ from numrad import (
     BOUND_IDS,
     BadAlpha,
     NoConvergence,
+    Workspace,
     bound_report,
     bound_th1,
     bound_th2,
@@ -21,7 +22,7 @@ from numrad import (
     random_matrix,
     spectral_norm,
 )
-from numrad.bounds import KIND_LOWER_W, KIND_UPPER_W, KIND_UPPER_W2
+from numrad.bounds import GAP_TOL, KIND_LOWER_W, KIND_UPPER_W, KIND_UPPER_W2, MAX_EVALUATIONS, OBJECTIVES
 from numrad.worked_examples import LOWER_TRIANGULAR_2 as T2, SHIFT_3 as T3
 
 from conftest import random_complex, random_hermitian
@@ -53,6 +54,17 @@ class TestGoldenSection:
         # tol = 0 never returned; the others returned the best of 4 points.
         with pytest.raises(ValueError, match="tol > 0 and lo <= hi"):
             golden_section(lambda a: (a - 0.3) ** 2, lo, hi, tol)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0)], ids=["hi-inf", "lo-minus-inf"])
+    def test_rejects_infinite_interval(self, lo, hi):
+        # These returned (0.0, 0.09) and (1.0, 0.49).
+        with pytest.raises(ValueError, match="both finite"):
+            golden_section(lambda a: (a - 0.3) ** 2, lo, hi)
+
+    def test_evaluation_count_caps_the_joint_search(self):
+        calls = []
+        golden_section(lambda a: calls.append(a) or (a - 0.3) ** 2)
+        assert len(calls) == MAX_EVALUATIONS == 52
 
 
 class TestTh1:
@@ -344,3 +356,61 @@ class TestMinimizationQuality:
                 assert math.sqrt(bound_th1(a, alpha, 0.5)) >= w_lo - 1e-7
                 th3, cor3, cor4 = bound_th3_family(a, alpha)
                 assert math.sqrt(cor4) >= w_lo - 1e-7
+
+
+def _search_cases():
+    rng = np.random.default_rng(17)
+    cases = [(f"ginibre-{n}", random_complex(rng, n)) for n in (1, 2, 3, 5, 8)]
+    q, _ = np.linalg.qr(random_complex(rng, 4))
+    cases.append(("normal", (q * random_complex(rng, 4)[0]) @ q.conj().T))
+    cases.append(("shift", np.diag([1.0, 0.7, 0.4], 1)))
+    cases.append(("hermitian", random_hermitian(rng, 4)))
+    cases.append(("zero", np.zeros((3, 3))))
+    return cases
+
+
+SEARCH_CASES = _search_cases()
+
+
+class TestJointSearch:
+    """The report's one search over all six objectives, checked against a
+    101-point alpha grid of each objective."""
+
+    @pytest.mark.parametrize("a", [m for _, m in SEARCH_CASES], ids=[i for i, _ in SEARCH_CASES])
+    def test_minima_and_gaps_against_the_grid(self, a):
+        report = bound_report(a, 1e-9)
+        ws = Workspace(a)
+        assert report.search_rounds <= 52
+        assert report.search_matrices <= 6 * MAX_EVALUATIONS
+        assert set(report.minima) == set(report.gaps) == set(OBJECTIVES)
+        for name, objective in OBJECTIVES.items():
+            alpha, minimum = report.minima[name]
+            gap = report.gaps[name]
+            grid = min(objective(ws, al) for al in np.linspace(0.0, 1.0, 101))
+            slack = 1e-12 * max(1.0, abs(grid))
+            assert 0.0 <= alpha <= 1.0, name
+            assert minimum == objective(ws, alpha), name
+            assert minimum <= grid + slack, name
+            assert gap >= 0.0, name
+            assert minimum - gap <= grid + slack, name
+        again = bound_report(a, 1e-9)
+        assert (again.minima, again.gaps, again.search_rounds, again.search_matrices) == (
+            report.minima,
+            report.gaps,
+            report.search_rounds,
+            report.search_matrices,
+        )
+
+    def test_gaps_close_on_the_worked_examples(self):
+        for a in (T2, T3):
+            report = bound_report(a, 1e-9)
+            for name, (_, minimum) in report.minima.items():
+                assert report.gaps[name] <= 2 * GAP_TOL * max(1.0, minimum), name
+
+    def test_linear_pieces_take_few_rounds(self):
+        # Diagonal moduli: every objective is piecewise linear in alpha, and
+        # the tangent lines' crossing lands on its kinks.
+        rng = np.random.default_rng(5)
+        for n in (3, 5, 8):
+            shift = np.diag(np.abs(rng.standard_normal(n - 1)), 1)
+            assert bound_report(shift, 1e-9).search_rounds <= 8

@@ -1,6 +1,6 @@
 """One workspace per matrix: shared results equal the bare-matrix calls,
-each catalog objective is minimized once, and a Gram product that
-overflows is an error where the matrix is taken in."""
+each catalog objective is minimized once, in one joint search, and a
+Gram product that overflows is an error where the matrix is taken in."""
 
 import numpy as np
 import pytest
@@ -53,26 +53,28 @@ def counting(monkeypatch, name):
 
 
 @pytest.fixture
-def golden_calls(monkeypatch):
+def searches(monkeypatch):
+    """The objective names of every joint alpha search from now on."""
     calls = []
-    original = bounds_mod.golden_section
+    original = bounds_mod._minimize
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(ws, names):
+        calls.append(tuple(names))
+        return original(ws, names)
 
-    monkeypatch.setattr(bounds_mod, "golden_section", counting)
+    monkeypatch.setattr(bounds_mod, "_minimize", counting)
     return calls
 
 
 class TestSingleComputation:
-    def test_report_minimizes_each_objective_once(self, golden_calls):
+    def test_report_minimizes_each_objective_once(self, searches):
         bound_report(MATRICES[3], 1e-9)
-        assert len(golden_calls) == 6
+        assert searches == [tuple(bounds_mod.OBJECTIVES)]
+        assert len(bounds_mod.OBJECTIVES) == 6
 
-    def test_fuzz_cell_reads_the_report(self, golden_calls):
+    def test_fuzz_cell_reads_the_report(self, searches):
         fuzz(FuzzConfig(dims=(3,), trials=1, ensembles=("ginibre",), seed=4))
-        assert len(golden_calls) == 6
+        assert searches == [tuple(bounds_mod.OBJECTIVES)]
 
     def test_lower_bound_needs_only_the_gram_eigensystem(self):
         ws = Workspace(T2)
@@ -108,8 +110,9 @@ class TestSingleComputation:
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         bound_report(ws)
-        # TT*, the sweep's witness, and the norm and witness of each w-term.
-        assert len(calls) == 6
+        # Single matrices: TT*, the sweep's witness, and the norm and witness
+        # of each w-term.  The alpha search's stacks are 3-D.
+        assert len([args for args in calls if np.ndim(args[0]) == 2]) == 6
 
     def test_alpha_certificate_reads_the_report_gamma_objective(self, monkeypatch):
         ws = Workspace(MATRICES[3])
