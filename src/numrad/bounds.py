@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadExponent, NoConvergence
-from .linalg import check_alpha, herm_norm, herm_top_eigpairs, hermitian_product
+from .linalg import check_alpha, eigh_desc, herm_norm, hermitian_product
 from .radius import RadiusBracket, Workspace, numerical_radius
 
 KIND_UPPER_W2 = "upper-on-w2"
@@ -253,7 +253,7 @@ def _minimize(ws: Workspace, names) -> tuple[dict[str, Minimum], int, int]:
     """Minimize the named objectives over alpha in [0, 1] together.
 
     Each round evaluates every unfinished objective at its next alpha
-    with one stacked herm_top_eigpairs call; round 0 evaluates alpha = 0
+    with one stacked eigh_desc call; round 0 evaluates alpha = 0
     and 1.  Returns the minima by name, the rounds and the matrices
     evaluated.  The reported value is OBJECTIVES[name](ws, alpha) at the
     best alpha evaluated.
@@ -270,10 +270,10 @@ def _minimize(ws: Workspace, names) -> tuple[dict[str, Minimum], int, int]:
     live = list(searches.values())
     while live:
         trials = [(s, a) for s in live for a in s.next]
-        tops, vecs = herm_top_eigpairs(np.stack([s.objective.matrix(ws, a) for s, a in trials]))
+        vals, vecs = eigh_desc(np.stack([s.objective.matrix(ws, a) for s, a in trials]))
         rounds += 1
         matrices += len(trials)
-        for (s, a), top, v in zip(trials, tops, vecs):
+        for (s, a), top, v in zip(trials, vals[:, 0], vecs[:, :, 0]):
             s.add(a, top, v)
         live = [s for s in live if s.advance()]
     for name, s in searches.items():

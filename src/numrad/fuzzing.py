@@ -135,7 +135,8 @@ def _prop_eqv2(ctx: TrialContext):
     tol, norm = ctx.config.tol, ctx.workspace.norm
     for alpha in ALPHA_GRID:
         est = ctx.alpha_estimate(alpha)
-        if ctx.bracket.lower - tol > est.upper_cert or est.best_value > norm + tol:
+        # Both realized values, w(T) and best_value, lie below upper_cert.
+        if max(ctx.bracket.lower, est.best_value) - tol > est.upper_cert or est.best_value > norm + tol:
             yield {
                 "alpha": alpha,
                 "w_lower": ctx.bracket.lower,

@@ -2,14 +2,15 @@
 
 Everything downstream (radius sweeps, bound formulas, pencil
 certificates) is built from a handful of spectral operations collected
-here: the one checked route to numpy's Hermitian eigensolvers
-(eigh_desc, herm_top_eigpairs, and herm_eigvals with its view
-herm_norms), checked Hermitian products, PSD powers,
-Cartesian parts and the comparison of two numerical kernels.  The
-per-matrix helpers built on them (polar_moduli, hermitian_section,
-kernels_equal) read a radius.Workspace.  All functions are pure, take
-array-likes, and return fresh complex128 ndarrays, so values are safe
-to share across threads.
+here: the two checked routes to numpy's Hermitian eigensolvers
+(eigh_desc for eigenpairs and herm_eigvals, with its view herm_norms,
+for eigenvalues, each on one matrix or a stack; both refuse a
+non-finite result with NoConvergence), checked Hermitian products,
+PSD powers, Cartesian parts and the comparison of two numerical
+kernels.  The per-matrix helpers built on them (polar_moduli,
+hermitian_section, kernels_equal) read a radius.Workspace.  All
+functions are pure, take array-likes, and return fresh complex128
+ndarrays, so values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -68,14 +69,28 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
+def _hermitize(h: np.ndarray) -> np.ndarray:
+    """(h + h*) / 2 over the last two axes; an overflow leaves a non-finite
+    entry for the caller's check rather than a RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (h + h.conj().swapaxes(-1, -2)) / 2.0
+
+
 def eigh_desc(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrize and decompose; eigenvalues descending, columns matching."""
-    sym = (h + h.conj().T) / 2.0
+    """Hermitize and decompose one matrix or a stack of them; eigenvalues
+    descending along the last axis, eigenvector columns matching.
+
+    Raises NoConvergence rather than return a non-finite eigenvalue or
+    eigenvector.
+    """
     try:
-        vals, vecs = np.linalg.eigh(sym)
+        vals, vecs = np.linalg.eigh(_hermitize(h))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
+    # count_nonzero costs half of .all() on small arrays, and this runs per Ritz step.
+    if np.count_nonzero(np.isfinite(vals)) + np.count_nonzero(np.isfinite(vecs)) < vals.size + vecs.size:
+        raise NoConvergence("non-finite eigenpair: an intermediate matrix overflowed")
+    return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
 def herm_eigvals(stack: np.ndarray) -> np.ndarray:
@@ -93,22 +108,6 @@ def herm_eigvals(stack: np.ndarray) -> np.ndarray:
     return vals
 
 
-def herm_top_eigpairs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest eigenvalue and a unit eigenvector for it, of each matrix of a Hermitian stack.
-
-    Values have shape stack.shape[:-2] and vectors stack.shape[:-1].  Only
-    the lower triangle of each matrix is read.  Raises NoConvergence
-    rather than return a non-finite value or vector.
-    """
-    try:
-        vals, vecs = np.linalg.eigh(stack)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigensolver failed: {exc}") from exc
-    if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
-        raise NoConvergence("non-finite eigenpair: an intermediate matrix overflowed")
-    return vals[..., -1], vecs[..., -1]
-
-
 def herm_norms(stack: np.ndarray) -> np.ndarray:
     """Spectral norms max |eigenvalue| of one Hermitian matrix or a stack of them (see herm_eigvals)."""
     vals = herm_eigvals(stack)
@@ -117,7 +116,7 @@ def herm_norms(stack: np.ndarray) -> np.ndarray:
 
 def herm_norm(h: np.ndarray) -> float:
     """Spectral norm of a (numerically) Hermitian matrix, hermitized first."""
-    return float(herm_norms((h + h.conj().T) / 2.0))
+    return float(herm_norms(_hermitize(h)))
 
 
 def hermitian_product(x: np.ndarray, y: np.ndarray, name: str) -> np.ndarray:
@@ -127,8 +126,7 @@ def hermitian_product(x: np.ndarray, y: np.ndarray, name: str) -> np.ndarray:
     eigh_desc does) changes no bit.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        g = x @ y
-        h = (g + g.conj().T) / 2.0
+        h = _hermitize(x @ y)
     if not np.isfinite(h).all():
         raise NoConvergence(f"{name} has a non-finite entry: the matrix is too large")
     return h

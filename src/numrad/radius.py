@@ -53,6 +53,12 @@ first refinement, when round 0 has neither closed the bracket nor
 dropped an interval; when it does not hold, the branch-and-bound runs
 unchanged.
 
+The sweep's work is capped: every stacked solve is checked
+first against MAX_SECTION_ENTRIES (2^24 section entries, section
+matrices times n^2, per sweep), and one that would pass it raises
+Timeout, as do MAX_ROUNDS rounds.  The round cap keeps every angle
+exact, since k < 45 2^MAX_ROUNDS < 2^53.
+
 The sweep runs on a Workspace, the per-matrix cache through which
 every public function takes its matrix in; it sits here, under the
 sweep, because its two Buzano w-terms are radius brackets themselves.
@@ -73,7 +79,6 @@ from .linalg import (
     eigh_desc,
     herm_eigvals,
     herm_norm,
-    herm_norms,
     hermitian_product,
     phase_normalize,
     power_from_eig,
@@ -83,8 +88,9 @@ from .linalg import (
 INITIAL_GRID = 360
 _COARSE_STEP = 8  # the sweep starts from every 8th angle of INITIAL_GRID
 MAX_ROUNDS = 40
+# The work cap: section matrices times n^2 per sweep.
+MAX_SECTION_ENTRIES = 1 << 24
 W_TERM_TOL = 1e-9
-_EVAL_CHUNK = 1 << 15
 _TWO_PI = 2.0 * np.pi
 
 
@@ -225,15 +231,6 @@ def hermitian_section(t, theta: float) -> np.ndarray:
     return _sections(*Workspace.of(t).re_im, np.array([theta]))[0]
 
 
-def _section_norms(re: np.ndarray, im: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """||cos(t) Re - sin(t) Im|| for a batch of angles, chunked."""
-    out = np.empty(thetas.size)
-    for lo in range(0, thetas.size, _EVAL_CHUNK):
-        chunk = thetas[lo : lo + _EVAL_CHUNK]
-        out[lo : lo + chunk.size] = herm_norms(_sections(re, im, chunk))
-    return out
-
-
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty(a.size + b.size, dtype=a.dtype)
     out[0::2] = a
@@ -307,10 +304,14 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
     the coarse grid's proven bound if that is smaller.  Otherwise it
     keeps every interval whose certified local maximum could still
     exceed the proven lower bound, and halves those intervals, from
-    the 45 coarse ones, until the bracket closes or the round cap is hit
-    (Timeout, whose message gives the rounds, the section matrices
-    evaluated and the intervals still live).  Deterministic: ties in
-    the running maximum are resolved toward the smallest angle.
+    the 45 coarse ones, until the bracket closes.  It raises Timeout,
+    whose message gives the rounds, the section matrices evaluated and
+    the intervals still live, after MAX_ROUNDS rounds or before a
+    stacked solve that would take the sweep past MAX_SECTION_ENTRIES
+    section entries (section matrices times n^2), so a plateau that no
+    certificate closes stops within bounded time and memory.
+    Deterministic: ties in the running maximum are resolved toward the
+    smallest angle.
 
     Raises NoConvergence when the bracket around the witness value is
     still wider than tol: tol is then below the rounding error of the
@@ -354,21 +355,32 @@ def _sweep(t, tol: float) -> tuple[RadiusBracket, int, int]:
     # come back as the same floats once h has halved down to their spacing.
     h = np.pi * _COARSE_STEP / INITIAL_GRID
     k = np.arange(INITIAL_GRID // _COARSE_STEP)
-    spectra = herm_eigvals(_sections(re, im, k * h))
-    sections = k.size
+    lower, upper, rounds, sections = 0.0, nrm, 0, 0
+
+    def timeout(why: str = "") -> Timeout:
+        return Timeout(
+            f"radius bracket still {upper - lower:.3e} wide after {rounds} rounds:"
+            f" {sections} section matrices evaluated, {k.size} intervals live{why}"
+        )
+
+    def solve(thetas: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues of the sections at thetas, within the work cap."""
+        nonlocal sections
+        if (sections + thetas.size) * a.size > MAX_SECTION_ENTRIES:
+            raise timeout(f"; {thetas.size} more would pass the cap of {MAX_SECTION_ENTRIES} section entries")
+        sections += thetas.size
+        return herm_eigvals(_sections(re, im, thetas))
+
+    spectra = solve(k * h)
     gl = np.maximum(np.abs(spectra[:, 0]), np.abs(spectra[:, -1]))
     gr = np.roll(gl, -1)
     best = int(np.argmax(gl))
     lower, best_theta = float(gl[best]), best * h
     # Every angle is within h / 2 of a sample, so the L-Lipschitz g gives a first cap.
     upper = cap = min(nrm, lower + nrm * h / 2.0)
-    rounds = 0
     while True:
         if rounds == MAX_ROUNDS:
-            raise Timeout(
-                f"radius bracket still {upper - lower:.3e} wide after {rounds} rounds:"
-                f" {sections} section matrices evaluated, {k.size} intervals live"
-            )
+            raise timeout()
         # Any proven upper bound works for the curvature certificate.
         certs = np.maximum(gl, gr) + min(nrm * h / 2.0, cap * h * h / 8.0)
         upper = cap = min(cap, max(lower, float(certs.max())))
@@ -384,8 +396,7 @@ def _sweep(t, tol: float) -> tuple[RadiusBracket, int, int]:
             fill = np.flatnonzero(np.arange(INITIAL_GRID) % _COARSE_STEP)
             full = np.empty((INITIAL_GRID, spectra.shape[1]))
             full[::_COARSE_STEP] = spectra
-            full[fill] = herm_eigvals(_sections(re, im, fill * (h / _COARSE_STEP)))
-            sections += fill.size
+            full[fill] = solve(fill * (h / _COARSE_STEP))
             g = np.maximum(np.abs(full[:, 0]), np.abs(full[:, -1]))
             best = int(np.argmax(g))
             lower, best_theta = float(g[best]), best * (h / _COARSE_STEP)
@@ -398,8 +409,8 @@ def _sweep(t, tol: float) -> tuple[RadiusBracket, int, int]:
         k, gl, gr = k[keep], gl[keep], gr[keep]
         h /= 2.0
         mid = 2 * k + 1
-        gm = _section_norms(re, im, mid * h)
-        sections += mid.size
+        spectra = solve(mid * h)
+        gm = np.maximum(np.abs(spectra[:, 0]), np.abs(spectra[:, -1]))
         j = int(np.argmax(gm))
         if float(gm[j]) > lower:
             lower = float(gm[j])

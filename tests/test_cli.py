@@ -9,6 +9,7 @@ import pytest
 
 import numrad.cli as cli
 import numrad.fuzzing as fuzz_mod
+import numrad.radius as radius_mod
 from numrad import Timeout, render_matrix
 from numrad.worked_examples import LOWER_TRIANGULAR_2 as T2, SHIFT_3 as T3
 
@@ -222,6 +223,17 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, command, str(huge))
         assert (code, out) == (3, "")
         assert "non-finite" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["radius", "abnormal"])
+    def test_non_finite_eigenpair_is_three(self, capsys, monkeypatch, tmp_path, command):
+        # Finite T*T whose top eigenvalue overflows; two rounds end a sweep that misses it.
+        monkeypatch.setattr(radius_mod, "MAX_ROUNDS", 2)
+        path = tmp_path / "t.json"
+        path.write_text(render_matrix(math.sqrt(8e307 / 3) * np.ones((3, 3)), "json"))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (3, "")
+        assert "non-finite eigenpair" in err
 
     def test_numerical_failure_is_three(self, capsys, monkeypatch, t2_file):
         def boom(*args, **kwargs):

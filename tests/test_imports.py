@@ -157,14 +157,22 @@ def test_solver_check_catches_a_direct_call():
 
 
 def test_only_linalg_calls_the_hermitian_eigensolvers():
-    # eigh_desc and herm_eigvals are the one checked eigen path.
+    # eigh_desc (eigenpairs) and herm_eigvals (eigenvalues) are the two
+    # checked routes, each refusing a non-finite result; nothing else in
+    # linalg, and nothing outside it, references the solvers.
     offences = {
         path.name: found
         for path in sorted(SRC.glob("*.py"))
         if path.name != "linalg.py" and (found := eigen_solver_uses(path.read_text(encoding="utf-8")))
     }
     assert offences == {}
-    assert eigen_solver_uses((SRC / "linalg.py").read_text(encoding="utf-8"))
+    source = (SRC / "linalg.py").read_text(encoding="utf-8")
+    functions = [node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)]
+    owners = {
+        next((f.name for f in functions if f.lineno <= line <= f.end_lineno), None)
+        for line, _ in eigen_solver_uses(source)
+    }
+    assert owners == {"eigh_desc", "herm_eigvals"}
 
 
 def test_benchmark_hooks_resolve():

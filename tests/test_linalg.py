@@ -17,7 +17,7 @@ from numrad import (
     singular_values,
     spectral_norm,
 )
-from numrad.linalg import eigh_desc, herm_eigvals, herm_norm, herm_norms, herm_top_eigpairs
+from numrad.linalg import eigh_desc, herm_eigvals, herm_norm, herm_norms
 from numrad.worked_examples import LOWER_TRIANGULAR_2 as T2, SHIFT_3 as T3
 
 from conftest import random_complex, random_hermitian
@@ -111,20 +111,28 @@ class TestSpectralNorm:
 
     def test_stacked_top_eigpairs_match_single(self, rng):
         stack = np.array([random_hermitian(rng, 4) for _ in range(5)] + [np.diag([1.0, 3.0, 2.0, 0.0])])
-        tops, vecs = herm_top_eigpairs(stack)
-        assert tops.shape == (6,) and vecs.shape == (6, 4)
-        for h, top, v in zip(stack, tops, vecs):
-            alone = herm_top_eigpairs(h[np.newaxis])
-            assert top == alone[0][0] and np.array_equal(v, alone[1][0])
-            vals, basis = eigh_desc(h)
-            assert top == vals[0] and np.array_equal(v, basis[:, 0])
+        vals, vecs = eigh_desc(stack)
+        assert vals.shape == (6, 4) and vecs.shape == (6, 4, 4)
+        assert np.all(np.diff(vals, axis=-1) <= 0.0)
+        for h, top, v, basis in zip(stack, vals[:, 0], vecs[:, :, 0], vecs):
+            alone = eigh_desc(h[np.newaxis])
+            assert top == alone[0][0, 0] and np.array_equal(v, alone[1][0, :, 0])
+            single_vals, single_basis = eigh_desc(h)
+            assert top == single_vals[0] and np.array_equal(basis, single_basis)
             assert np.linalg.norm(h @ v - top * v) <= 1e-12 * max(1.0, abs(top))
-        assert tops[-1] == 3.0
+        assert vals[-1, 0] == 3.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_eigenpair_is_an_error(self):
-        with pytest.raises(NoConvergence):
-            herm_top_eigpairs(np.array([[[np.inf, 0.0], [0.0, 1.0]]]))
+        cases = [
+            np.array([[np.inf, 0.0], [0.0, 1.0]]),
+            np.array([[[1.0, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]]),
+            # Finite entries whose top eigenvalue, 2.4e308, overflows.
+            np.full((3, 3), 8e307),
+        ]
+        for h in cases:
+            with pytest.raises(NoConvergence, match="non-finite eigenpair"):
+                eigh_desc(h)
 
 
 class TestPolarModuli:

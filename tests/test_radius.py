@@ -233,6 +233,26 @@ class TestNumericalRadius:
         assert "45 section matrices evaluated" in message
         assert "45 intervals live" in message
 
+    @pytest.mark.parametrize(
+        "n, scale, tol", [(4, 2.0**40, 1e-9), (80, 1.0, 1e-12)], ids=["shift4-2^40", "shift80-tol1e-12"]
+    )
+    def test_work_cap_ends_a_runaway_plateau(self, monkeypatch, n, scale, tol):
+        # Plateaus whose brackets neither certificate closes: tol is below
+        # the sections' rounding, or the level-set factors are too small.
+        # Each used to refine every interval for minutes; the patched
+        # solver stops a sweep that passes the cap instead.
+        entries = []
+        original = np.linalg.eigvalsh
+
+        def capped(a, *args, **kwargs):
+            entries.append(a.size)
+            assert sum(entries) <= 1 << 24, "the sweep passed the work cap"
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", capped)
+        with pytest.raises(Timeout, match="section matrices evaluated.*section entries"):
+            numerical_radius(weighted_shift(n, scale), tol)
+
     def test_requires_square(self):
         with pytest.raises(NotSquare):
             numerical_radius(np.ones((2, 3)), 1e-9)

@@ -1,11 +1,15 @@
 """One workspace per matrix: shared results equal the bare-matrix calls,
 each catalog objective is minimized once, in one joint search, and a
-Gram product that overflows is an error where the matrix is taken in."""
+Gram product or eigenpair that overflows is an error where the matrix is
+taken in."""
+
+import math
 
 import numpy as np
 import pytest
 
 import numrad.bounds as bounds_mod
+import numrad.radius as radius_mod
 from numrad import (
     FuzzConfig,
     NoConvergence,
@@ -27,6 +31,7 @@ from numrad import (
     numerical_radius,
     polar_moduli,
     pp0_min,
+    spectral_norm,
 )
 from numrad.linalg import eigh_desc
 from numrad.worked_examples import LOWER_TRIANGULAR_2 as T2, SHIFT_3 as T3
@@ -216,3 +221,26 @@ class TestOverflowIsAnError:
     def test_co_gram_is_checked_too(self):
         with pytest.raises(NoConvergence, match="TT\\*"):
             Workspace(1e200 * OVERFLOWING).cogram
+
+
+# Finite Gram products (each entry of T*T is 8e307) whose top eigenvalue,
+# 2.4e308, overflows.
+EIGEN_OVERFLOW = math.sqrt(8e307 / 3) * np.ones((3, 3))
+ENTRY_POINTS = {
+    "Workspace.norm": lambda t: Workspace(t).norm,
+    "spectral_norm": spectral_norm,
+    "numerical_radius": numerical_radius,
+    "bound_report": bound_report,
+    "alpha_norm_estimate": lambda t: alpha_norm_estimate(t, 0.5),
+    "ab_certify": ab_certify,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_non_finite_eigenpair_is_refused(monkeypatch, entry):
+    # An infinite norm used to keep every sweep interval live, so two
+    # rounds end a sweep that misses the refusal.
+    monkeypatch.setattr(radius_mod, "MAX_ROUNDS", 2)
+    with pytest.raises(NoConvergence, match="non-finite eigenpair"):
+        entry(EIGEN_OVERFLOW)
