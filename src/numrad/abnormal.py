@@ -6,13 +6,15 @@ T is (alpha, beta)-normal, 0 <= alpha <= 1 <= beta, when
 
 equivalently alpha^2 T*T <= TT* <= beta^2 T*T.  In finite dimension such
 a pair exists iff the kernels of T and T* coincide (equivalently, the
-ranges coincide).  The extremal ratios ||T*x|| / ||Tx|| are the square
-roots of the generalized eigenvalues of the pencil (TT*, T*T) restricted
-to the orthogonal complement of ker(T); restricting removes the
-spurious infinite eigenvalues a common kernel would inject.  Raw ratios
-are clamped into the parameter ranges (alpha <= 1 <= beta), which only
-weakens the defining inequalities; the raw extremes stay available as
-diagnostics.
+ranges coincide).  Both come from the workspace's singular value
+decomposition T = U diag(sigma) V*.  Off the kernel, x = V diag(sigma)^-1 c
+has ||Tx|| = ||c||, so the extremal ratios ||T*x|| / ||Tx|| are the
+extreme singular values of B = T* V diag(sigma)^-1; restricting to the
+directions off the kernel removes the infinite ratios a common kernel
+would inject.  No product such as TT* is formed, so the ratios do not
+depend on the scale of T.  Raw ratios are clamped into the parameter
+ranges (alpha <= 1 <= beta), which only weakens the defining
+inequalities; the raw extremes stay available as diagnostics.
 """
 
 from __future__ import annotations
@@ -23,8 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotABNormal
-from .linalg import KernelComparison, compare_kernels, eigh_desc, kernel_cutoff, phase_normalize
+from .linalg import EPS, KernelComparison, phase_normalize, spectral_norm, svd_desc
 from .radius import Workspace
+
+# Sine of the largest allowed principal angle between kernel spans.
+KERNEL_ANGLE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,27 +53,47 @@ class ABNormalCertificate:
 def kernels_equal(t, tol: float | None = None) -> KernelComparison:
     """Compare the numerical kernels of T and T*.
 
-    The kernel of T is spanned by right singular vectors whose singular
-    value falls below tol * sigma_max (default tol: n * 2**-52); the
-    kernel of T* by the matching left singular vectors.  Spans are
-    called equal when the dimensions agree and every principal angle
+    The kernel of T is spanned by the trailing right singular vectors
+    whose singular value falls below tol * sigma_max (default tol:
+    n * 2**-52, and tol must lie in (0, 1)); the kernel of T* by the
+    matching left singular vectors, so the two dimensions agree by
+    construction.  Spans are called equal when every principal angle
     between them is below 1e-8 (tested through the sine, which stays
     well conditioned for tiny angles).  In finite dimension equal
-    kernels are equivalent to equal ranges of T and T*.
+    kernels are equivalent to equal ranges of T and T*.  The answer is
+    a decision at these tolerances, not a certificate: a perturbation
+    below the cutoff can change it.
     """
     ws = Workspace.of(t)
-    rel = kernel_cutoff(tol, ws.a.shape[0])
-    return compare_kernels(ws.gram_eig, ws.cogram_eig, rel)
+    n = ws.a.shape[0]
+    rel = float(tol) if tol is not None else n * EPS
+    if not 0 < rel < 1:
+        raise ValueError("tol must lie in (0, 1)")
+    u, sigma, v = ws.svd
+    if ws.norm == 0.0:
+        return KernelComparison(True, n, n)
+    drop = sigma < rel * ws.norm
+    dim = int(np.count_nonzero(drop))
+    if dim == 0:
+        return KernelComparison(True, 0, 0)
+    k1, k2 = v[:, drop], u[:, drop]
+    sine = spectral_norm(k1 - k2 @ (k2.conj().T @ k1))
+    return KernelComparison(bool(sine < KERNEL_ANGLE_TOL), dim, dim)
 
 
 def ab_certify(t, tol: float | None = None) -> ABNormalCertificate:
-    """Certify (alpha, beta)-normality through the pencil (TT*, T*T).
+    """Certify (alpha, beta)-normality from the singular value decomposition of T.
 
     tol is the relative singular value cutoff for the numerical kernel
-    of kernels_equal (default n * 2**-52); the pencil is restricted to
-    the singular directions outside that kernel.  When the kernels of T
-    and T* differ no alpha above zero works, so the certificate reports
-    is_ab_normal False with alpha_best 0 rather than a degenerate pair.
+    of kernels_equal (default n * 2**-52); the ratios are read on the r
+    singular directions outside that kernel, as the singular values of
+    B = T* V_r diag(sigma_r)^-1.  Column j of B is T*x / ||Tx|| at
+    x = v_j, so its norm is at most sigma_1 / sigma_r <= 1 / tol.  The
+    witnesses are V_r diag(sigma_r / sigma_1)^-1 times the extreme right
+    singular vectors of B, normalized; that scaling keeps them from over-
+    or underflowing.  When the kernels of T and T* differ no alpha above
+    zero works, so the certificate reports is_ab_normal False with
+    alpha_best 0 rather than a degenerate pair.
     """
     ws = Workspace.of(t)
     n = ws.a.shape[0]
@@ -79,19 +104,16 @@ def ab_certify(t, tol: float | None = None) -> ABNormalCertificate:
         e1 = np.eye(1, n, dtype=np.complex128)[0]
         return ABNormalCertificate(1.0, 1.0, True, True, e1, e1, 1.0, 1.0)
 
-    # The kernel is the last kernel_dim singular directions.  A mask, not a
-    # slice: the products below can round differently on a strided view.
-    keep = np.arange(n) < n - comparison.kernel_dim
-    v = ws.gram_eig[1][:, keep]
-    sk = ws.sigma[keep]
-    pencil = (v.conj().T @ ws.cogram @ v) / np.outer(sk, sk)
-    mu, y = eigh_desc(pencil)
-    mu = np.clip(mu, 0.0, None)
-    raw_max = math.sqrt(float(mu[0]))
-    raw_min = math.sqrt(float(mu[-1]))
+    # The kernel is the last kernel_dim singular directions.
+    r = n - comparison.kernel_dim
+    _, sigma, v = ws.svd
+    v = v[:, :r]
+    _, ratios, y = svd_desc((ws.a.conj().T @ v) / sigma[:r])
+    rel = sigma[:r] / ws.norm
+    raw_max, raw_min = float(ratios[0]), float(ratios[-1])
 
     def lift(col: np.ndarray) -> np.ndarray:
-        x = v @ (col / sk)
+        x = v @ (col / rel)
         return phase_normalize(x / np.linalg.norm(x))
 
     witness_max = lift(y[:, 0])

@@ -47,11 +47,11 @@ class AlphaNormEstimate:
 
 
 def _value(a: np.ndarray, alpha: float, x: np.ndarray) -> tuple[float, complex]:
-    """(F(x), <Tx, x>) for a unit vector x."""
+    """(F(x), <Tx, x>) for a unit vector x; NoConvergence when F overflows."""
     tx = a @ x
     c = np.vdot(x, tx)
-    f = alpha * (c.real * c.real + c.imag * c.imag) + (1.0 - alpha) * np.vdot(tx, tx).real
-    return float(f), c
+    f = float(alpha * (c.real * c.real + c.imag * c.imag) + (1.0 - alpha) * np.vdot(tx, tx).real)
+    return (f if math.isfinite(f) else _finite(f, "the alpha objective")), c
 
 
 def _apply_surrogate(a: np.ndarray, alpha: float, c: complex, y: np.ndarray) -> np.ndarray:
@@ -77,7 +77,7 @@ def alpha_objective(t, alpha: float, x) -> float:
     """alpha |<Tx, x>|^2 + (1 - alpha) ||Tx||^2 for a unit vector x (NoConvergence on overflow)."""
     a, alpha, v = Workspace.of(t).a, check_alpha(alpha), check_unit(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(_value(a, alpha, v)[0], "the alpha objective")
+        return _value(a, alpha, v)[0]
 
 
 def alpha_gradient(t, alpha: float, x) -> np.ndarray:
@@ -102,21 +102,27 @@ def _ascend(a: np.ndarray, alpha: float, x0: np.ndarray) -> tuple[float, np.ndar
     (zero at first).  x is in the span, so F(y) >= <M(c)y, y> - alpha |c|^2
     >= <M(c)x, x> - alpha |c|^2 = F(x): no step lowers F or needs a step
     size.  Stops at tangent norm <= GRAD_TOL, when F stops strictly
-    rising, or after MAX_STEPS steps.
+    rising, or after MAX_STEPS steps.  Raises NoConvergence when F or the
+    tangent step is not finite (an intermediate overflowed).
     """
     x = x0 / math.sqrt(np.vdot(x0, x0).real)
-    f, c = _value(a, alpha, x)
-    s = np.zeros_like(x)
-    for _ in range(MAX_STEPS):
-        t = _tangent(a, alpha, c, x)
-        if np.vdot(t, t).real <= GRAD_TOL * GRAD_TOL:
-            break
-        q = np.linalg.qr(np.stack([x, t, s], axis=1))[0]
-        y = q @ eigh_desc(q.conj().T @ _apply_surrogate(a, alpha, c, q))[1][:, 0]
-        fy, cy = _value(a, alpha, y)
-        if not fy > f:
-            break
-        x, s, f, c = y, y - x, fy, cy
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, c = _value(a, alpha, x)
+        s = np.zeros_like(x)
+        for _ in range(MAX_STEPS):
+            t = _tangent(a, alpha, c, x)
+            tt = np.vdot(t, t).real
+            if not math.isfinite(tt):
+                # Only a non-finite step is refused; a finite one whose square overflows goes on.
+                _finite(t, "the alpha ascent step")
+            if tt <= GRAD_TOL * GRAD_TOL:
+                break
+            q = np.linalg.qr(np.stack([x, t, s], axis=1))[0]
+            y = q @ eigh_desc(q.conj().T @ _apply_surrogate(a, alpha, c, q))[1][:, 0]
+            fy, cy = _value(a, alpha, y)
+            if not fy > f:
+                break
+            x, s, f, c = y, y - x, fy, cy
     return f, x
 
 
@@ -129,12 +135,13 @@ def alpha_norm_estimate(
 ) -> AlphaNormEstimate:
     """Multistart sandwich estimate of the alpha-norm.
 
-    The first start is the top right singular vector (exact maximizer at
-    alpha = 0), the second the numerical-radius witness (near-maximizer
-    at alpha = 1, recomputed unless one is passed in; a passed-in one
-    that is not a finite nonzero vector of length n raises ValueError
-    when restarts >= 2, the only case that uses it), the rest uniform
-    draws from the complex unit sphere.  best_value is the maximum of
+    The first start is the top right singular vector V[:, 0] of the
+    workspace's decomposition (exact maximizer at alpha = 0), the second
+    the numerical-radius witness (near-maximizer at alpha = 1,
+    recomputed unless one is passed in; a passed-in one that is not a
+    finite nonzero vector of length n raises ValueError when
+    restarts >= 2, the only case that uses it), the rest uniform draws
+    from the complex unit sphere.  best_value is the maximum of
     the ascent limits, ties resolved toward the lowest restart index;
     upper_cert is min(||T||, sqrt(th2 bound), sqrt(gamma)) at the same
     alpha, where gamma is the catalog's COR1 objective: the th1 bound
@@ -151,7 +158,7 @@ def alpha_norm_estimate(
         e1 = np.eye(1, n, dtype=np.complex128)[0]
         return AlphaNormEstimate(alpha, 0.0, e1, 0.0)
 
-    starts = [ws.gram_eig[1][:, 0]]
+    starts = [ws.svd[2][:, 0]]
     if restarts >= 2:
         if radius_witness is None:
             radius_witness = ws.radius_witness

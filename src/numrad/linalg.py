@@ -1,13 +1,13 @@
 """Dense complex matrix primitives.
 
-Everything downstream (radius sweeps, bound formulas, pencil
-certificates) is built from a handful of spectral operations collected
-here: the two checked routes to numpy's Hermitian eigensolvers
-(eigh_desc for eigenpairs and herm_eigvals, with its view herm_norms,
-for eigenvalues, each on one matrix or a stack; both refuse a
-non-finite result with NoConvergence), checked Hermitian products,
-PSD powers, Cartesian parts and the comparison of two numerical
-kernels.  The per-matrix helpers built on them (polar_moduli,
+Everything downstream (radius sweeps, bound formulas, the (alpha, beta)
+certificate) is built from a handful of spectral operations collected
+here: the three checked routes to numpy's solvers (eigh_desc for
+Hermitian eigenpairs, herm_eigvals, with its view herm_norms, for
+Hermitian eigenvalues, each on one matrix or a stack, and svd_desc for
+singular triplets; each refuses a non-finite result with
+NoConvergence), checked Hermitian products, PSD powers and Cartesian
+parts.  The per-matrix helpers built on them (polar_moduli,
 hermitian_section, kernels_equal) read a radius.Workspace.  All
 functions are pure, take array-likes, and return fresh complex128
 ndarrays, so values are safe to share across threads.
@@ -23,9 +23,6 @@ import numpy as np
 from .errors import BadAlpha, BadExponent, NoConvergence, NotHermitian, NotSquare, NotUnit
 
 EPS = float(np.finfo(np.float64).eps)  # 2**-52
-
-# Sine of the largest allowed principal angle between kernel spans.
-KERNEL_ANGLE_TOL = 1e-8
 
 
 def as_matrix(m) -> np.ndarray:
@@ -163,16 +160,30 @@ def herm_eig(h, tol: float = 1e-10) -> HermitianEig:
     return HermitianEig(vals, vecs)
 
 
+def svd_desc(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin singular value decomposition M = U diag(sigma) V*, sigma descending.
+
+    Raises NoConvergence rather than return a non-finite factor.  No
+    product such as M*M is formed, so the backward error is normwise in
+    M and sigma is accurate to about eps ||M|| at every scale of M.
+    """
+    try:
+        u, sigma, vh = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"singular value decomposition failed: {exc}") from exc
+    if not (np.isfinite(sigma).all() and np.isfinite(u).all() and np.isfinite(vh).all()):
+        raise NoConvergence("non-finite singular triplet")
+    return u, sigma, vh.conj().T
+
+
 def spectral_norm(m) -> float:
-    """Operator norm: largest singular value, sqrt(lambda_max(M* M))."""
+    """Operator norm: the largest singular value."""
     return float(singular_values(m)[0])
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values, descending: square roots of eig(M* M) clamped at 0."""
-    a = as_matrix(m)
-    vals, _ = eigh_desc(hermitian_product(a.conj().T, a, "M*M"))
-    return np.sqrt(np.clip(vals, 0.0, None))
+    """Singular values, descending, from svd_desc."""
+    return svd_desc(as_matrix(m))[1]
 
 
 def power_from_eig(vals: np.ndarray, vecs: np.ndarray, r: float) -> np.ndarray:
@@ -218,41 +229,15 @@ class KernelComparison(NamedTuple):
     adjoint_kernel_dim: int
 
 
-def kernel_cutoff(tol: float | None, n: int) -> float:
-    """Relative singular value cutoff in (0, 1) for numerical kernels (default n * 2**-52)."""
-    rel = float(tol) if tol is not None else n * EPS
-    if not 0 < rel < 1:
-        raise ValueError("tol must lie in (0, 1)")
-    return rel
-
-
-def compare_kernels(gram_eig, cogram_eig, rel: float) -> KernelComparison:
-    """abnormal.kernels_equal from the descending eigensystems of M*M and MM*."""
-    (gvals, gvecs), (cvals, cvecs) = gram_eig, cogram_eig
-    n = gvals.size
-    sigma = np.sqrt(np.clip(gvals, 0.0, None))
-    sigma_star = np.sqrt(np.clip(cvals, 0.0, None))
-    smax = float(max(sigma[0], sigma_star[0]))
-    if smax == 0.0:
-        return KernelComparison(True, n, n)
-    cutoff = rel * smax
-    k1 = gvecs[:, sigma < cutoff]
-    k2 = cvecs[:, sigma_star < cutoff]
-    d1, d2 = k1.shape[1], k2.shape[1]
-    if d1 != d2:
-        return KernelComparison(False, d1, d2)
-    if d1 == 0:
-        return KernelComparison(True, 0, 0)
-    resid = k1 - k2 @ (k2.conj().T @ k1)
-    sine = spectral_norm(resid)
-    return KernelComparison(bool(sine < KERNEL_ANGLE_TOL), d1, d2)
-
-
 def phase_normalize(x: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its first non-negligible component is real positive."""
+    """Rotate a vector so its first non-negligible component is real positive.
+
+    Adding 0 turns every negative zero into +0, so a witness reads the
+    same whichever factorization left signed zeros in it.
+    """
     x = np.asarray(x, dtype=np.complex128).reshape(-1).copy()
     for c in x:
         if abs(c) > 1e-12:
             x *= np.conj(c) / abs(c)
             break
-    return x
+    return x + 0.0

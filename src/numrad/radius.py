@@ -83,6 +83,7 @@ from .linalg import (
     phase_normalize,
     power_from_eig,
     require_square,
+    svd_desc,
 )
 
 INITIAL_GRID = 360
@@ -96,13 +97,14 @@ _TWO_PI = 2.0 * np.pi
 
 class Workspace:
     """Cached spectral objects for one square matrix, each computed on
-    first use, so a workspace built for one call adds no eigen-solves.
+    first use, so a workspace built for one call adds no solves.
 
-    The moduli squares are taken directly from the hermitized Gram
-    products (|T|^2 = T*T exactly) rather than squaring the computed
-    square roots.  eigh_desc hermitizes its input the same way, so each
-    eigensystem is bit-identical to eigh_desc(T*T) or eigh_desc(TT*).
-    A product or power that overflows raises NoConvergence.
+    One checked singular value decomposition T = U diag(sigma) V* gives
+    sigma, the norm and every polar power: |T|**e = V diag(sigma**e) V*
+    and |T*|**e = U diag(sigma**e) U*, so none of them passes through a
+    squared product.  The Gram products T*T and TT*, which the catalog's
+    objectives read, are formed directly and hermitized.  A product or
+    power that overflows raises NoConvergence.
     """
 
     def __init__(self, t):
@@ -122,32 +124,28 @@ class Workspace:
         return hermitian_product(self.a, self.a.conj().T, "TT*")
 
     @cached_property
-    def gram_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues of T*T descending, with matching eigenvector columns."""
-        return eigh_desc(self.gram)
-
-    @cached_property
-    def cogram_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return eigh_desc(self.cogram)
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, sigma, V) with T = U diag(sigma) V*, sigma descending."""
+        return svd_desc(self.a)
 
     @cached_property
     def sigma(self) -> np.ndarray:
         """Singular values, descending."""
-        return np.sqrt(np.clip(self.gram_eig[0], 0.0, None))
+        return self.svd[1]
 
     @cached_property
     def norm(self) -> float:
         return float(self.sigma[0])
 
     def mod_power(self, e: float) -> np.ndarray:
-        """|T|**e via the Gram eigenbasis (exponent may exceed 1)."""
-        vals, vecs = self.gram_eig
-        return power_from_eig(vals, vecs, e / 2.0)
+        """|T|**e = V diag(sigma**e) V* (exponent may exceed 1)."""
+        _, sigma, v = self.svd
+        return power_from_eig(sigma, v, e)
 
     def comod_power(self, e: float) -> np.ndarray:
-        """|T*|**e via the co-Gram eigenbasis."""
-        vals, vecs = self.cogram_eig
-        return power_from_eig(vals, vecs, e / 2.0)
+        """|T*|**e = U diag(sigma**e) U*."""
+        u, sigma, _ = self.svd
+        return power_from_eig(sigma, u, e)
 
     @cached_property
     def abs_t(self) -> np.ndarray:

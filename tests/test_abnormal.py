@@ -94,6 +94,24 @@ class TestCertify:
         assert cert.beta_best == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-200, 2.0**-600, 1e-160, 1e200], ids=["1e-200", "2^-600", "1e-160", "1e200"])
+def test_pair_is_scale_invariant(scale):
+    # Through TT* and T*T the pair was (1, 1) at 1e-200 and 2^-600, a
+    # warning at 1e-160 and a refusal at 1e200.
+    cert = ab_certify(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert cert.is_ab_normal and cert.kernels_equal
+    assert cert.alpha_best == pytest.approx((SQRT5 - 1) / 2, rel=1e-12)
+    assert cert.beta_best == pytest.approx((SQRT5 + 1) / 2, rel=1e-12)
+
+
+def test_near_shift_alpha():
+    # kappa(T) ~ 1e12: the pencil on T*T gave alpha = 0.9.  The reference
+    # is sigma_min(T* T^-1) to 60 digits.
+    t = np.diag([1.0, 0.9], 1) + 1e-12 * random_complex(np.random.default_rng(5), 3)
+    assert ab_certify(t).alpha_best == pytest.approx(1.428482e-12, rel=1e-3)
+
+
 class TestLowerBounds:
     def test_th5_lower_triangular_2(self):
         cert = ab_certify(T2)

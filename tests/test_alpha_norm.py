@@ -10,6 +10,7 @@ from numrad import (
     alpha_gradient,
     alpha_norm_estimate,
     alpha_objective,
+    bound_report,
     numerical_radius,
     random_matrix,
     spectral_norm,
@@ -97,6 +98,16 @@ def test_overflow_is_an_error(f):
     # Each used to warn and return NaN.
     with pytest.raises(NoConvergence):
         f(OVERFLOWING, 0.5, np.array([1.0, 1.0j]) / math.sqrt(2.0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [math.sqrt(5e307 / 3), 1e160, 1e200])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_alpha_ascent_refuses_a_non_finite_intermediate(scale, alpha):
+    # At the first scale T*T and its top eigenvalue are finite, but the
+    # ascent's step overflows; it used to warn "invalid value".
+    with pytest.raises(NoConvergence, match="alpha"):
+        alpha_norm_estimate(scale * np.ones((3, 3)), alpha)
 
 
 class TestGradient:
@@ -214,3 +225,16 @@ class TestEstimate:
         # eigensolver; a short one in a raw numpy matmul error.
         with pytest.raises(ValueError, match=match):
             alpha_norm_estimate(T3, 0.5, restarts=2, radius_witness=witness)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3(a): T*T, TT* and the squared catalog rows underflow to 0 at 1e-200",
+)
+def test_upper_certificates_at_an_underflowing_scale():
+    t = 1e-200 * np.array([[1.0, 1.0], [0.0, 1.0]])
+    w_lower = numerical_radius(t).lower
+    assert w_lower == pytest.approx(1.5e-200, rel=1e-12)
+    assert alpha_norm_estimate(t, 0.5).upper_cert >= w_lower
+    uppers = [e.value_on_w_scale for e in bound_report(t).entries if e.kind.startswith("upper")]
+    assert min(uppers) >= w_lower

@@ -9,8 +9,8 @@ import pytest
 
 import numrad.cli as cli
 import numrad.fuzzing as fuzz_mod
-import numrad.radius as radius_mod
-from numrad import Timeout, render_matrix
+from numrad import Timeout, render_matrix, spectral_norm
+from numrad.linalg import EPS
 from numrad.worked_examples import LOWER_TRIANGULAR_2 as T2, SHIFT_3 as T3
 
 
@@ -217,23 +217,45 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["radius", "report"])
     def test_gram_overflow_is_three(self, capsys, tmp_path, command):
-        # A valid matrix whose T*T overflows: not an input error, and no bracket.
+        # A valid matrix whose T*T overflows.  The report needs T*T: exit 3
+        # and no output.  The radius reads only the decomposition of T, so
+        # at a tol relative to ||T|| it brackets 1e200 w(M).
+        m = np.array([[1.0, 2.0j], [0.5, -1.0]])
         huge = tmp_path / "huge.json"
-        huge.write_text(render_matrix(1e200 * np.array([[1.0, 2.0j], [0.5, -1.0]]), "json"))
-        code, out, err = run_cli(capsys, command, str(huge))
-        assert (code, out) == (3, "")
-        assert "non-finite" in err
+        huge.write_text(render_matrix(1e200 * m, "json"))
+        if command == "report":
+            code, out, err = run_cli(capsys, command, str(huge))
+            assert (code, out) == (3, "")
+            assert "non-finite" in err
+            return
+        code, out, _ = run_cli(capsys, command, str(huge), "--tol", "1e191")
+        assert code == 0
+        payload = json.loads(out)
+        # w(M) in closed form: M has trace 0, so W(M) is an ellipse centred at 0.
+        w = 1e200 * math.sqrt(25 / 16 + math.sqrt(2) / 2)
+        slack = 8 * len(m) * EPS * spectral_norm(1e200 * m)
+        assert payload["upper"] - payload["lower"] <= 1e191
+        assert payload["lower"] - slack <= w <= payload["upper"] + slack
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["radius", "abnormal"])
-    def test_non_finite_eigenpair_is_three(self, capsys, monkeypatch, tmp_path, command):
-        # Finite T*T whose top eigenvalue overflows; two rounds end a sweep that misses it.
-        monkeypatch.setattr(radius_mod, "MAX_ROUNDS", 2)
+    def test_non_finite_eigenpair_is_three(self, capsys, tmp_path, command):
+        # Finite T*T whose top eigenvalue overflows.  Neither command forms
+        # it: the radius at the default absolute tol 1e-9, far below the
+        # rounding of this 1.5e154-norm matrix, is refused with exit 3; the
+        # certificate calls the Hermitian matrix normal.
         path = tmp_path / "t.json"
         path.write_text(render_matrix(math.sqrt(8e307 / 3) * np.ones((3, 3)), "json"))
         code, out, err = run_cli(capsys, command, str(path))
-        assert (code, out) == (3, "")
-        assert "non-finite eigenpair" in err
+        if command == "radius":
+            assert (code, out) == (3, "")
+            assert "exceeds tol" in err
+            return
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["is_ab_normal"] and payload["kernels_equal"]
+        assert payload["alpha_best"] == pytest.approx(1.0, abs=1e-12)
+        assert payload["beta_best"] == pytest.approx(1.0, abs=1e-12)
 
     def test_numerical_failure_is_three(self, capsys, monkeypatch, t2_file):
         def boom(*args, **kwargs):

@@ -123,19 +123,19 @@ def test_relative_imports_are_acyclic():
     assert import_cycle(graph) == []
 
 
-HERMITIAN_SOLVERS = ("np.linalg.eigh", "np.linalg.eigvalsh", "numpy.linalg.eigh", "numpy.linalg.eigvalsh")
+SOLVERS = tuple(f"{module}.linalg.{name}" for module in ("np", "numpy") for name in ("eigh", "eigvalsh", "svd"))
 
 
 def eigen_solver_uses(source: str) -> list[tuple[int, str]]:
-    """(line, name) of each reference to np.linalg.eigh or np.linalg.eigvalsh,
-    called or not, and of each `from numpy.linalg import` of either."""
+    """(line, name) of each reference to np.linalg.eigh, np.linalg.eigvalsh or
+    np.linalg.svd, called or not, and of each `from numpy.linalg import` of one."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and (name := _dotted(node)) in HERMITIAN_SOLVERS:
+        if isinstance(node, ast.Attribute) and (name := _dotted(node)) in SOLVERS:
             found.append((node.lineno, name))
         elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
             for alias in node.names:
-                if (name := f"numpy.linalg.{alias.name}") in HERMITIAN_SOLVERS:
+                if (name := f"numpy.linalg.{alias.name}") in SOLVERS:
                     found.append((node.lineno, name))
     return sorted(found)
 
@@ -148,18 +148,23 @@ def test_solver_check_catches_a_direct_call():
         "solve = np.linalg.eigh\n"
         "other = np.linalg.eig(h)\n"
         "from numpy.linalg import eigvalsh, norm\n"
+        "sigma = np.linalg.svd(h, compute_uv=False)\n"
+        "from numpy.linalg import svd\n"
     )
     assert eigen_solver_uses(source) == [
         (3, "np.linalg.eigvalsh"),
         (4, "np.linalg.eigh"),
         (6, "numpy.linalg.eigvalsh"),
+        (7, "np.linalg.svd"),
+        (8, "numpy.linalg.svd"),
     ]
 
 
 def test_only_linalg_calls_the_hermitian_eigensolvers():
-    # eigh_desc (eigenpairs) and herm_eigvals (eigenvalues) are the two
-    # checked routes, each refusing a non-finite result; nothing else in
-    # linalg, and nothing outside it, references the solvers.
+    # eigh_desc (eigenpairs), herm_eigvals (eigenvalues) and svd_desc
+    # (singular triplets) are the three checked routes, each refusing a
+    # non-finite result; nothing else in linalg, and nothing outside it,
+    # references the solvers.
     offences = {
         path.name: found
         for path in sorted(SRC.glob("*.py"))
@@ -172,7 +177,7 @@ def test_only_linalg_calls_the_hermitian_eigensolvers():
         next((f.name for f in functions if f.lineno <= line <= f.end_lineno), None)
         for line, _ in eigen_solver_uses(source)
     }
-    assert owners == {"eigh_desc", "herm_eigvals"}
+    assert owners == {"eigh_desc", "herm_eigvals", "svd_desc"}
 
 
 def test_benchmark_hooks_resolve():

@@ -17,10 +17,10 @@ from numrad import (
     singular_values,
     spectral_norm,
 )
-from numrad.linalg import eigh_desc, herm_eigvals, herm_norm, herm_norms
+from numrad.linalg import EPS, eigh_desc, herm_eigvals, herm_norm, herm_norms, svd_desc
 from numrad.worked_examples import LOWER_TRIANGULAR_2 as T2, SHIFT_3 as T3
 
-from conftest import random_complex, random_hermitian
+from conftest import random_complex, random_hermitian, random_unitary
 
 SQRT5 = math.sqrt(5.0)
 
@@ -109,6 +109,14 @@ class TestSpectralNorm:
         with pytest.raises(NoConvergence):
             herm_eigvals(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_singular_triplet_is_an_error(self):
+        # numpy returns a non-finite factor for the first and raises
+        # LinAlgError for the second.
+        for h in (np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0])):
+            with pytest.raises(NoConvergence):
+                svd_desc(h)
+
     def test_stacked_top_eigpairs_match_single(self, rng):
         stack = np.array([random_hermitian(rng, 4) for _ in range(5)] + [np.diag([1.0, 3.0, 2.0, 0.0])])
         vals, vecs = eigh_desc(stack)
@@ -162,6 +170,21 @@ class TestPolarModuli:
             assert np.all(s1 >= -1e-12)
             assert np.allclose(s1, s2, atol=1e-8)
             assert np.allclose(np.sort(singular_values(a)), s1, atol=1e-8)
+
+
+@pytest.mark.parametrize("k", range(20))
+def test_graded_moduli_match_their_factors(k):
+    # Singular values 1e-6, 1e-12 and 0 under 1: through eig(T*T) the small
+    # ones, and |T| and |T*| with them, were off by about 1e-8.
+    rng = np.random.default_rng(k)
+    u, v = random_unitary(rng, 5), random_unitary(rng, 5)
+    sigma = np.array([1.0, 0.5, 1e-6, 1e-12, 0.0])
+    a = (u * sigma) @ v.conj().T
+    absm, absmstar = polar_moduli(a)
+    tol = 8 * 5 * EPS
+    assert np.abs(singular_values(a) - sigma).max() <= tol
+    assert np.linalg.norm(absm - (v * sigma) @ v.conj().T, 2) <= tol
+    assert np.linalg.norm(absmstar - (u * sigma) @ u.conj().T, 2) <= tol
 
 
 class TestPsdPower:
@@ -253,7 +276,8 @@ class TestKernelsEqual:
 
 
 # Every entry is finite, but M*M and MM* overflow.
-OVERFLOWING = 1e200 * np.array([[1.0, 2.0j], [0.5, -1.0]])
+UNIT = np.array([[1.0, 2.0j], [0.5, -1.0]])
+OVERFLOWING = 1e200 * UNIT
 
 
 @pytest.mark.filterwarnings("error")
@@ -261,6 +285,13 @@ OVERFLOWING = 1e200 * np.array([[1.0, 2.0j], [0.5, -1.0]])
     "helper", [singular_values, spectral_norm, polar_moduli, kernels_equal], ids=lambda f: f.__name__
 )
 def test_overflowing_product_is_an_error(helper):
-    # Each used to warn and return NaN; kernels_equal answered equal=True.
-    with pytest.raises(NoConvergence):
-        helper(OVERFLOWING)
+    # Each used to warn and return NaN, then to refuse the overflowing
+    # product; none of them forms M*M or MM* now, so each is the unit-scale
+    # result times 1e200, with no error at all.
+    big, unit = helper(OVERFLOWING), helper(UNIT)
+    if helper is kernels_equal:
+        assert big == unit == (True, 0, 0)
+        return
+    for x, y in zip(big, unit) if helper is polar_moduli else [(big, unit)]:
+        # Compared at unit scale: the squares in a norm of x would overflow.
+        assert np.linalg.norm(np.asarray(x) / 1e200 - y) <= 8 * len(UNIT) * EPS * np.linalg.norm(y)

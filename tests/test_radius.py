@@ -105,6 +105,15 @@ class TestNumericalRadius:
         assert bracket.lower == pytest.approx(1.5, abs=1e-8)
         assert bracket.upper - bracket.lower <= 1e-8
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-200, 2.0**-600], ids=["1e-200", "2^-600"])
+    def test_underflowing_scale_is_bracketed(self, scale):
+        # T*T underflows to zero here, and the bracket used to be [0, 0].
+        bracket = numerical_radius(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        slack = 8 * 2 * EPS * scale
+        assert bracket.lower - slack <= 1.5 * scale <= bracket.upper + slack
+        assert bracket.lower > 0.0
+
     def test_shift3(self):
         bracket = numerical_radius(T3, 1e-8)
         assert bracket.lower == pytest.approx(SQRT5 / 2, abs=1e-8)
