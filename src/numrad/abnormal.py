@@ -21,15 +21,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotABNormal
-from .linalg import EPS, KernelComparison, phase_normalize, spectral_norm, svd_desc
+from .linalg import EPS, phase_normalize, spectral_norm, svd_desc
 from .radius import Workspace
 
 # Sine of the largest allowed principal angle between kernel spans.
 KERNEL_ANGLE_TOL = 1e-8
+
+
+class KernelComparison(NamedTuple):
+    equal: bool
+    kernel_dim: int
+    adjoint_kernel_dim: int
 
 
 @dataclass(frozen=True)
@@ -50,29 +57,25 @@ class ABNormalCertificate:
     raw_max_ratio: float
 
 
-def kernels_equal(t, tol: float | None = None) -> KernelComparison:
+def kernels_equal(t) -> KernelComparison:
     """Compare the numerical kernels of T and T*.
 
     The kernel of T is spanned by the trailing right singular vectors
-    whose singular value falls below tol * sigma_max (default tol:
-    n * 2**-52, and tol must lie in (0, 1)); the kernel of T* by the
-    matching left singular vectors, so the two dimensions agree by
-    construction.  Spans are called equal when every principal angle
-    between them is below 1e-8 (tested through the sine, which stays
-    well conditioned for tiny angles).  In finite dimension equal
+    whose singular value falls below n * 2**-52 * sigma_max, the kernel
+    of T* by the matching left singular vectors, so the two dimensions
+    agree by construction.  Spans are called equal when every principal
+    angle between them is below 1e-8 (tested through the sine, which
+    stays well conditioned for tiny angles).  In finite dimension equal
     kernels are equivalent to equal ranges of T and T*.  The answer is
     a decision at these tolerances, not a certificate: a perturbation
     below the cutoff can change it.
     """
     ws = Workspace.of(t)
     n = ws.a.shape[0]
-    rel = float(tol) if tol is not None else n * EPS
-    if not 0 < rel < 1:
-        raise ValueError("tol must lie in (0, 1)")
     u, sigma, v = ws.svd
     if ws.norm == 0.0:
         return KernelComparison(True, n, n)
-    drop = sigma < rel * ws.norm
+    drop = sigma < n * EPS * ws.norm
     dim = int(np.count_nonzero(drop))
     if dim == 0:
         return KernelComparison(True, 0, 0)
@@ -81,23 +84,23 @@ def kernels_equal(t, tol: float | None = None) -> KernelComparison:
     return KernelComparison(bool(sine < KERNEL_ANGLE_TOL), dim, dim)
 
 
-def ab_certify(t, tol: float | None = None) -> ABNormalCertificate:
+def ab_certify(t) -> ABNormalCertificate:
     """Certify (alpha, beta)-normality from the singular value decomposition of T.
 
-    tol is the relative singular value cutoff for the numerical kernel
-    of kernels_equal (default n * 2**-52); the ratios are read on the r
-    singular directions outside that kernel, as the singular values of
-    B = T* V_r diag(sigma_r)^-1.  Column j of B is T*x / ||Tx|| at
-    x = v_j, so its norm is at most sigma_1 / sigma_r <= 1 / tol.  The
-    witnesses are V_r diag(sigma_r / sigma_1)^-1 times the extreme right
-    singular vectors of B, normalized; that scaling keeps them from over-
-    or underflowing.  When the kernels of T and T* differ no alpha above
+    The ratios are read on the r singular directions outside the
+    numerical kernel of kernels_equal (relative cutoff n * 2**-52), as
+    the singular values of B = T* V_r diag(sigma_r)^-1.  Column j of B
+    is T*x / ||Tx|| at x = v_j, so its norm is at most
+    sigma_1 / sigma_r <= 2**52 / n.  The witnesses are
+    V_r diag(sigma_r / sigma_1)^-1 times the extreme right singular
+    vectors of B, normalized; that scaling keeps them from over- or
+    underflowing.  When the kernels of T and T* differ no alpha above
     zero works, so the certificate reports is_ab_normal False with
     alpha_best 0 rather than a degenerate pair.
     """
     ws = Workspace.of(t)
     n = ws.a.shape[0]
-    comparison = kernels_equal(ws, tol)
+    comparison = kernels_equal(ws)
 
     if ws.norm == 0.0:
         # The zero matrix is normal: both defining inequalities are 0 <= 0.

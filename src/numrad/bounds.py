@@ -353,11 +353,10 @@ def gamma_delta(t) -> tuple[float, float, float, float]:
 
 def bound_th2(t, alpha: float) -> float:
     """min(||a|T|^2 + (1-a)|T*|^2||, ||a|T*|^2 + (1-a)|T|^2||), an upper
-    bound on the squared alpha-norm."""
+    bound on the squared alpha-norm: the pp0 objective at a and at 1 - a."""
     alpha = check_alpha(alpha)
     ws = Workspace.of(t)
-    orientations = ((ws.gram, ws.cogram), (ws.cogram, ws.gram))
-    return min(herm_norm(alpha * x + (1.0 - alpha) * y) for x, y in orientations)
+    return min(OBJECTIVES["pp0"](ws, alpha), OBJECTIVES["pp0"](ws, 1.0 - alpha))
 
 
 def pp0_min(t) -> tuple[float, float]:

@@ -19,14 +19,6 @@ def stream_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _coerce_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return stream_rng(int(seed))
-
-
 def complex_gaussians(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard complex normal samples (unit total variance)."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
@@ -64,7 +56,7 @@ def random_matrix(ensemble: str, dim: int, seed) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    rng = _coerce_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else stream_rng(int(seed))
     if ensemble == "ginibre":
         return complex_gaussians(rng, (dim, dim))
     if ensemble == "normal":

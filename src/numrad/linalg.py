@@ -7,8 +7,11 @@ Hermitian eigenpairs, herm_eigvals, with its view herm_norms, for
 Hermitian eigenvalues, each on one matrix or a stack, and svd_desc for
 singular triplets; each refuses a non-finite result with
 NoConvergence), checked Hermitian products, PSD powers and Cartesian
-parts.  The per-matrix helpers built on them (polar_moduli,
-hermitian_section, kernels_equal) read a radius.Workspace.  All
+parts.  A PSD matrix passed in from outside has one validated
+decomposition, psd_eig, behind every power of it; the workspace's
+polar powers come from its singular value decomposition instead.  The
+per-matrix helpers built on these (polar_moduli and hermitian_section
+in radius, kernels_equal in abnormal) read a radius.Workspace.  All
 functions are pure, take array-likes, and return fresh complex128
 ndarrays, so values are safe to share across threads.
 """
@@ -16,7 +19,6 @@ ndarrays, so values are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -195,19 +197,26 @@ def power_from_eig(vals: np.ndarray, vecs: np.ndarray, r: float) -> np.ndarray:
     return hermitian_product(scaled, vecs.conj().T, f"the power {r} of a PSD matrix")
 
 
-def psd_power(p, r: float) -> np.ndarray:
-    """P**r for Hermitian PSD P and r in [0, 1], with 0**0 := 1.
+def psd_eig(p) -> tuple[np.ndarray, np.ndarray]:
+    """Validated decomposition (eigenvalues descending, eigenvectors) of a
+    Hermitian PSD matrix P, the one route to powers of a matrix passed in
+    from outside.
 
-    Eigenvalues down to -1e-10 * ||P|| are treated as rounding and clamped
-    to zero; anything more negative is rejected.
+    Raises NotHermitian when ||P - P*||_F exceeds 1e-8 * max(1, ||P||_F),
+    and ValueError when an eigenvalue lies below -1e-10 * ||P||; eigenvalues
+    above that are rounding, which power_from_eig clamps to zero.
     """
+    eig = herm_eig(p, tol=1e-8)
+    if eig.eigenvalues[-1] < -1e-10 * np.abs(eig.eigenvalues).max():
+        raise ValueError("matrix is not positive semidefinite within tolerance")
+    return eig.eigenvalues, eig.basis
+
+
+def psd_power(p, r: float) -> np.ndarray:
+    """P**r for Hermitian PSD P (validated by psd_eig) and r in [0, 1], with 0**0 := 1."""
     if not 0.0 <= float(r) <= 1.0:
         raise BadExponent(f"exponent must lie in [0, 1], got {r}")
-    eig = herm_eig(p, tol=1e-8)
-    top = float(max(abs(eig.eigenvalues[0]), abs(eig.eigenvalues[-1])))
-    if float(eig.eigenvalues[-1]) < -1e-10 * top:
-        raise ValueError("matrix is not positive semidefinite within tolerance")
-    return power_from_eig(eig.eigenvalues, eig.basis, float(r))
+    return power_from_eig(*psd_eig(p), float(r))
 
 
 def cartesian_parts(m) -> tuple[np.ndarray, np.ndarray]:
@@ -221,12 +230,6 @@ def cartesian_parts(m) -> tuple[np.ndarray, np.ndarray]:
     re = h + h.conj().T
     im = (h - h.conj().T) * (-1j)
     return re, im
-
-
-class KernelComparison(NamedTuple):
-    equal: bool
-    kernel_dim: int
-    adjoint_kernel_dim: int
 
 
 def phase_normalize(x: np.ndarray) -> np.ndarray:

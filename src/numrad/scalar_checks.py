@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadExponent
-from .linalg import as_matrix, check_unit, eigh_desc, power_from_eig, psd_power, require_square
+from .linalg import as_matrix, check_unit, power_from_eig, psd_eig, require_square
 from .radius import Workspace
 
 SLACK_FLOOR = -1e-9
@@ -34,13 +34,17 @@ def _quad(h: np.ndarray, v: np.ndarray) -> float:
 
 
 def hoelder_mccarthy_slack(p, x, s: float) -> float:
-    """<P^s x, x> - <P x, x>^s for Hermitian PSD P, unit x and finite s >= 1."""
+    """<P^s x, x> - <P x, x>^s for Hermitian PSD P, unit x and finite s >= 1.
+
+    P goes through psd_eig, so a matrix that is not Hermitian within 1e-8
+    raises NotHermitian and one with an eigenvalue below -1e-10 ||P||
+    raises ValueError.
+    """
     if not 1.0 <= s < math.inf:
         raise BadExponent(f"exponent must be finite and >= 1, got {s}")
     a = require_square(as_matrix(p))
     v = check_unit(x)
-    vals, vecs = eigh_desc(a)
-    powered = power_from_eig(vals, vecs, float(s))
+    powered = power_from_eig(*psd_eig(a), float(s))
     return _quad(powered, v) - _quad(a, v) ** s
 
 
@@ -48,8 +52,10 @@ def scalar_inequality_checks(t, x, y, r: float) -> ScalarChecks:
     """Evaluate the four ingredient inequalities at (T, x, y, r).
 
     kato          |<Tx, y>|^2 <= <|T|^{2r} x, x> <|T*|^{2(1-r)} y, y>
-    kittaneh_fg   the same bound computed through f(t) = t^r, g(t) = t^(1-r)
-                  as f(|T|)^2 and g(|T*|)^2 (a distinct numerical route)
+    kittaneh_fg   the same bound computed through f(t) = t^r, g(t) = t^(1-r):
+                  f(|T|) = |T|^r and g(|T*|) = |T*|^(1-r) are read off the
+                  workspace's SVD and squared as matrices (a distinct
+                  numerical route from Kato's 2r-th powers)
     mccarthy      <|T| x, x>^2 <= <|T|^2 x, x>
     buzano        2 |<u, x><x, v>| <= ||u|| ||v|| + |<u, v>| for
                   u = |T*| x, v = |T| x
@@ -71,15 +77,14 @@ def scalar_inequality_checks(t, x, y, r: float) -> ScalarChecks:
     kato = _quad(mod_2r, vx) * _quad(comod_2s, vy) - lhs >= SLACK_FLOOR
 
     # Function-pair route: square f(|T|) and g(|T*|) as matrices.
-    abs_t, abs_t_star = ws.abs_t, ws.abs_t_star
-    f_mat = psd_power(abs_t, rr)
-    g_mat = psd_power(abs_t_star, 1.0 - rr)
+    f_mat = ws.mod_power(rr)
+    g_mat = ws.comod_power(1.0 - rr)
     kittaneh = _quad(f_mat @ f_mat, vx) * _quad(g_mat @ g_mat, vy) - lhs >= SLACK_FLOOR
 
-    mccarthy = _quad(ws.gram, vx) - _quad(abs_t, vx) ** 2 >= SLACK_FLOOR
+    mccarthy = _quad(ws.gram, vx) - _quad(ws.abs_t, vx) ** 2 >= SLACK_FLOOR
 
-    u = abs_t_star @ vx
-    v = abs_t @ vx
+    u = ws.abs_t_star @ vx
+    v = ws.abs_t @ vx
     buz_lhs = 2.0 * abs(np.vdot(vx, u) * np.vdot(v, vx))
     buz_rhs = float(np.linalg.norm(u)) * float(np.linalg.norm(v)) + abs(np.vdot(v, u))
     buzano = buz_rhs - buz_lhs >= SLACK_FLOOR

@@ -25,7 +25,7 @@ SHIFT_3 = make_nilpotent_shift([1.0, 2.0])
 LOWER_TRIANGULAR_2 = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=np.complex128)
 
 
-def paper_examples(tol: float = CLOSED_FORM_TOL) -> tuple[list[dict], bool]:
+def paper_examples() -> tuple[list[dict], bool]:
     """Recompute the worked examples; returns (rows, all_passed).
 
     Each row holds case, quantity, computed, expected, error and ok.
@@ -43,7 +43,7 @@ def paper_examples(tol: float = CLOSED_FORM_TOL) -> tuple[list[dict], bool]:
                 "expected": expected,
                 "error": expected - computed if strict else abs(computed - expected),
                 "comparison": "strictly-below" if strict else "abs-error",
-                "ok": computed < expected if strict else abs(computed - expected) <= tol,
+                "ok": computed < expected if strict else abs(computed - expected) <= CLOSED_FORM_TOL,
             }
         )
 

@@ -3,7 +3,9 @@ import pytest
 
 from numrad import (
     BadExponent,
+    NotHermitian,
     NotUnit,
+    Workspace,
     hoelder_mccarthy_slack,
     polar_moduli,
     scalar_inequality_checks,
@@ -85,3 +87,34 @@ def test_hoelder_mccarthy_rejects_non_finite_exponent(s):
     # Used to raise NoConvergence ("the matrix is too large") from the power.
     with pytest.raises(BadExponent, match="finite"):
         hoelder_mccarthy_slack(np.diag([2.0, 0.5]), E1_2, s)
+
+
+def test_checks_read_every_power_off_the_cached_decomposition(rng, monkeypatch):
+    # Both routes, Kato's 2r-th powers and the squared function pair
+    # f(|T|) = |T|^r, g(|T*|) = |T*|^(1-r), come from the workspace's SVD;
+    # the function pair used to re-decompose |T| and |T*| with one eigh each.
+    a = random_complex(rng, 4)
+    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    x /= np.linalg.norm(x)
+    ws = Workspace(a)
+    ws.svd  # decomposed before the solvers are counted
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert all(scalar_inequality_checks(ws, x, x, 0.3))
+    assert calls == []
+
+
+def test_hoelder_mccarthy_validates_the_psd_matrix():
+    # Both used to be hermitized and clipped silently; diag(1, -1) gave 1.0
+    # at x = e2, s = 1, where <P^1 x, x> - <P x, x>^1 is 0.
+    with pytest.raises(NotHermitian):
+        hoelder_mccarthy_slack([[0.0, 1.0], [0.0, 0.0]], E1_2, 2.0)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        hoelder_mccarthy_slack(np.diag([1.0, -1.0]), np.array([0.0, 1.0]), 1.0)
