@@ -101,9 +101,12 @@ def _ascend(a: np.ndarray, alpha: float, x0: np.ndarray) -> tuple[float, np.ndar
     orthonormal basis, t the tangent part of M(c)x, s the previous step
     (zero at first).  x is in the span, so F(y) >= <M(c)y, y> - alpha |c|^2
     >= <M(c)x, x> - alpha |c|^2 = F(x): no step lowers F or needs a step
-    size.  Stops at tangent norm <= GRAD_TOL, when F stops strictly
-    rising, or after MAX_STEPS steps.  Raises NoConvergence when F or the
-    tangent step is not finite (an intermediate overflowed).
+    size.  Stops at tangent norm <= GRAD_TOL * F(x), when F stops
+    strictly rising, or after MAX_STEPS steps.  F and the tangent both
+    scale as s^2 under T -> sT, so the first test decides alike at every
+    scale; it compares norms, not squares, so that the threshold never
+    overflows.  Raises NoConvergence when F or the tangent step is not
+    finite (an intermediate overflowed).
     """
     x = x0 / math.sqrt(np.vdot(x0, x0).real)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -115,7 +118,7 @@ def _ascend(a: np.ndarray, alpha: float, x0: np.ndarray) -> tuple[float, np.ndar
             if not math.isfinite(tt):
                 # Only a non-finite step is refused; a finite one whose square overflows goes on.
                 _finite(t, "the alpha ascent step")
-            if tt <= GRAD_TOL * GRAD_TOL:
+            if math.sqrt(tt) <= GRAD_TOL * f:
                 break
             q = np.linalg.qr(np.stack([x, t, s], axis=1))[0]
             y = q @ eigh_desc(q.conj().T @ _apply_surrogate(a, alpha, c, q))[1][:, 0]
@@ -154,10 +157,6 @@ def alpha_norm_estimate(
     ws = Workspace.of(t)
     a = ws.a
     n = a.shape[0]
-    if ws.norm == 0.0:
-        e1 = np.eye(1, n, dtype=np.complex128)[0]
-        return AlphaNormEstimate(alpha, 0.0, e1, 0.0)
-
     starts = [ws.svd[2][:, 0]]
     if restarts >= 2:
         if radius_witness is None:

@@ -64,8 +64,9 @@ KIND_LOWER_W = "lower-on-w"
 R_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 GOLDEN_TOL = 1e-10
 # The catalog's search ends an objective once its tangent-line gap is at
-# most GAP_TOL * max(1, value), or after MAX_EVALUATIONS points, which is
-# golden_section's own count at GOLDEN_TOL.
+# most GAP_TOL * value, relative so that it decides alike at every scale
+# of T, or after MAX_EVALUATIONS points, which is golden_section's own
+# count at GOLDEN_TOL.
 GAP_TOL = 1e-12
 MAX_EVALUATIONS = 52
 
@@ -229,7 +230,7 @@ class _Search:
         t = min(max((fb - fa + ga * a - gb * b) / (ga - gb), a), b)
         self.lower = min(fa + ga * (t - a), fb + gb * (t - b))
         best = self.best[1]
-        if best - self.lower <= GAP_TOL * max(1.0, best) or len(self.points) >= MAX_EVALUATIONS:
+        if best - self.lower <= GAP_TOL * best or len(self.points) >= MAX_EVALUATIONS:
             return False
         # On a linear piece the next point is the tangent lines' crossing t,
         # which lands on a kink between two pieces.  Elsewhere it is a

@@ -135,8 +135,8 @@ def hermitian_product(x: np.ndarray, y: np.ndarray, name: str) -> np.ndarray:
 class HermitianEig:
     """Decomposition H = U diag(eigenvalues) U* with eigenvalues descending.
 
-    Invariants: reconstruction and unitarity residuals stay below
-    1e-10 relative to max(1, ||H||_F).
+    Invariants: the reconstruction residual stays below 1e-10 ||H||_F
+    and the unitarity residual below 1e-10.
     """
 
     eigenvalues: np.ndarray
@@ -149,14 +149,14 @@ class HermitianEig:
 def herm_eig(h, tol: float = 1e-10) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises NotHermitian when ||H - H*||_F exceeds tol * max(1, ||H||_F),
-    and NoConvergence when the underlying solver gives up.
+    Raises NotHermitian when ||H - H*||_F exceeds tol * ||H||_F, a test
+    that decides alike at every scale of H (the zero matrix passes), and
+    NoConvergence when the underlying solver gives up.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     a = require_square(as_matrix(h))
-    scale = max(1.0, frobenius(a))
-    if frobenius(a - a.conj().T) > tol * scale:
+    if frobenius(a - a.conj().T) > tol * frobenius(a):
         raise NotHermitian(f"matrix is not Hermitian within tolerance {tol}")
     vals, vecs = eigh_desc(a)
     return HermitianEig(vals, vecs)
@@ -202,7 +202,7 @@ def psd_eig(p) -> tuple[np.ndarray, np.ndarray]:
     Hermitian PSD matrix P, the one route to powers of a matrix passed in
     from outside.
 
-    Raises NotHermitian when ||P - P*||_F exceeds 1e-8 * max(1, ||P||_F),
+    Raises NotHermitian when ||P - P*||_F exceeds 1e-8 * ||P||_F,
     and ValueError when an eigenvalue lies below -1e-10 * ||P||; eigenvalues
     above that are rounding, which power_from_eig clamps to zero.
     """

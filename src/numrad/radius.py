@@ -15,17 +15,19 @@ phi = theta and the top eigenvector x, or phi = theta + pi and the
 bottom one, hence is a valid lower bound for w(T).  An interval
 [t1, t2] of width h carries the certificate
 
-    sup over the interval <= max(g(t1), g(t2)) + min(L h / 2, W h^2 / 8)
+    sup over the interval <= max(g(t1), g(t2)) + W h^2 / 8
 
-with L = ||T|| and W any already proven upper bound for w(T).  Each
-sheet theta -> lambda_max H(theta) is a supremum of sinusoids
+with W any already proven upper bound for w(T).  Each sheet
+theta -> lambda_max H(theta) is a supremum of sinusoids
 |<Tx, x>| cos(theta + phi_x) whose amplitude never exceeds
-w(T) <= W <= ||T||, so it is L-Lipschitz and it plus W theta^2 / 2 is
-convex; the maximum of the two sheets g keeps both properties.
-Without the quadratic term, matrices whose section spectrum is
-theta-invariant (weighted shifts, where g is constant) would need
-~2^20 eigenvalue evaluations to certify a 1e-8 bracket; with it a
-handful of rounds suffice.
+w(T) <= W, so it plus W theta^2 / 2 is convex; the maximum of the two
+sheets g keeps that property.  g is also L-Lipschitz with L = ||T||,
+but the bound L h / 2 it gives never beats W h^2 / 8: W <= L and
+h <= pi / 45 < 4.  L serves only the first cap, lower + L h / 2 on the
+coarse grid, before any W is proven.  Without the quadratic term,
+matrices whose section spectrum is theta-invariant (weighted shifts,
+where g is constant) would need ~2^20 eigenvalue evaluations to
+certify a 1e-8 bracket; with it a handful of rounds suffice.
 
 The certificate holds at any spacing, so the sweep starts coarse, from
 every 8th angle of the INITIAL_GRID = 360 angles (45 angles,
@@ -300,14 +302,17 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
     that no section reaches the level u = lower + 0.9 tol
     (_level_set_empty), the bracket closes at once with upper = u, or
     the coarse grid's proven bound if that is smaller.  Otherwise it
-    keeps every interval whose certified local maximum could still
-    exceed the proven lower bound, and halves those intervals, from
-    the 45 coarse ones, until the bracket closes.  It raises Timeout,
-    whose message gives the rounds, the section matrices evaluated and
-    the intervals still live, after MAX_ROUNDS rounds or before a
-    stacked solve that would take the sweep past MAX_SECTION_ENTRIES
-    section entries (section matrices times n^2), so a plateau that no
-    certificate closes stops within bounded time and memory.
+    keeps every interval whose certified local maximum, the larger end
+    value plus W h^2 / 8 with W the running upper end and h the width,
+    could still exceed the proven lower bound, and halves those
+    intervals, from the 45 coarse ones, until the bracket closes.  The
+    first upper end is min(||T||, lower + ||T|| h / 2) on the coarse
+    grid.  It raises Timeout, whose message gives the rounds, the
+    section matrices evaluated and the intervals still live, after
+    MAX_ROUNDS rounds or before a stacked solve that would take the
+    sweep past MAX_SECTION_ENTRIES section entries (section matrices
+    times n^2), so a plateau that no certificate closes stops within
+    bounded time and memory.
     Deterministic: ties in the running maximum are resolved toward the
     smallest angle.
 
@@ -375,13 +380,13 @@ def _sweep(t, tol: float) -> tuple[RadiusBracket, int, int]:
     best = int(np.argmax(gl))
     lower, best_theta = float(gl[best]), best * h
     # Every angle is within h / 2 of a sample, so the L-Lipschitz g gives a first cap.
-    upper = cap = min(nrm, lower + nrm * h / 2.0)
+    upper = min(nrm, lower + nrm * h / 2.0)
     while True:
         if rounds == MAX_ROUNDS:
             raise timeout()
         # Any proven upper bound works for the curvature certificate.
-        certs = np.maximum(gl, gr) + min(nrm * h / 2.0, cap * h * h / 8.0)
-        upper = cap = min(cap, max(lower, float(certs.max())))
+        certs = np.maximum(gl, gr) + upper * h * h / 8.0
+        upper = min(upper, max(lower, float(certs.max())))
         # A small internal margin keeps the final bracket within tol even
         # after the witness inner product replaces the grid lower bound.
         if upper - lower <= 0.9 * tol:

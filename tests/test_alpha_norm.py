@@ -17,6 +17,7 @@ from numrad import (
     stream_rng,
 )
 from numrad.alpha_norm import _ascend
+from numrad.linalg import EPS
 from numrad.worked_examples import LOWER_TRIANGULAR_2 as T2, SHIFT_3 as T3
 
 from conftest import random_complex
@@ -238,3 +239,29 @@ def test_upper_certificates_at_an_underflowing_scale():
     assert alpha_norm_estimate(t, 0.5).upper_cert >= w_lower
     uppers = [e.value_on_w_scale for e in bound_report(t).entries if e.kind.startswith("upper")]
     assert min(uppers) >= w_lower
+
+
+@pytest.mark.parametrize(
+    "scale",
+    [
+        2.0**-20,
+        2.0**-27,
+        2.0**465,
+        pytest.param(
+            2.0**-300,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 3(a): the squared tangent norm underflows to 0 and stops the ascent",
+            ),
+        ),
+    ],
+    ids=["2^-20", "2^-27", "2^465", "2^-300"],
+)
+def test_ascent_is_scale_free(scale):
+    # The ascent stopped at an absolute tangent norm GRAD_TOL: at 2^-20 and
+    # 2^-27 best_value came out 4.14e-2 low.  At 2^465 a squared threshold
+    # (GRAD_TOL F)^2 overflows a Python float, so the rule compares norms.
+    t = random_complex(np.random.default_rng(3), 5)
+    unit = alpha_norm_estimate(t, 0.5, restarts=4, seed=0).best_value
+    scaled = alpha_norm_estimate(scale * t, 0.5, restarts=4, seed=0).best_value
+    assert abs(scaled / scale - unit) <= 4 * EPS * unit

@@ -71,6 +71,16 @@ class TestHermEig:
         with pytest.raises(NotHermitian):
             herm_eig([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_rejects_a_small_non_hermitian_matrix(self):
+        # The tolerance is relative to ||H||_F: this used to pass against an
+        # absolute floor and return eigenvalues +-5e-12.
+        with pytest.raises(NotHermitian):
+            herm_eig(1e-11 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_zero_matrix_is_hermitian(self):
+        eig = herm_eig(np.zeros((3, 3)))
+        assert np.array_equal(eig.eigenvalues, np.zeros(3))
+
     def test_nan_tol_cannot_skip_the_hermitian_check(self):
         with pytest.raises(ValueError):
             herm_eig([[0.0, 1.0], [0.0, 0.0]], float("nan"))
@@ -212,6 +222,11 @@ class TestPsdPower:
         p = h @ h.conj().T
         q = psd_power(p, 0.4)
         assert np.linalg.norm(q @ p - p @ q) <= 1e-10 * max(1.0, np.linalg.norm(p) ** 2)
+
+    def test_rejects_a_small_non_hermitian_matrix(self):
+        with pytest.raises(NotHermitian):
+            psd_power(1e-9 * np.array([[1.0, 1.0], [0.0, 1.0]]), 0.5)
+        assert np.array_equal(psd_power(np.zeros((2, 2)), 0.5), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("r", [-0.1, 1.5])
     def test_rejects_bad_exponent(self, r):
