@@ -61,11 +61,13 @@ def kernels_equal(t) -> KernelComparison:
     """Compare the numerical kernels of T and T*.
 
     The kernel of T is spanned by the trailing right singular vectors
-    whose singular value falls below n * 2**-52 * sigma_max, the kernel
+    whose singular value is at most n * 2**-52 * sigma_max, the kernel
     of T* by the matching left singular vectors, so the two dimensions
-    agree by construction.  Spans are called equal when every principal
-    angle between them is below 1e-8 (tested through the sine, which
-    stays well conditioned for tiny angles).  In finite dimension equal
+    agree by construction.  The cut is inclusive, so the zero matrix
+    needs no branch of its own: every direction is in both kernels and
+    the answer is (True, n, n).  Spans are called equal when every
+    principal angle between them is below 1e-8 (tested through the
+    sine, which stays well conditioned for tiny angles).  In finite dimension equal
     kernels are equivalent to equal ranges of T and T*.  The answer is
     a decision at these tolerances, not a certificate: a perturbation
     below the cutoff can change it.
@@ -73,9 +75,7 @@ def kernels_equal(t) -> KernelComparison:
     ws = Workspace.of(t)
     n = ws.a.shape[0]
     u, sigma, v = ws.svd
-    if ws.norm == 0.0:
-        return KernelComparison(True, n, n)
-    drop = sigma < n * EPS * ws.norm
+    drop = sigma <= n * EPS * ws.norm
     dim = int(np.count_nonzero(drop))
     if dim == 0:
         return KernelComparison(True, 0, 0)
@@ -87,8 +87,8 @@ def kernels_equal(t) -> KernelComparison:
 def ab_certify(t) -> ABNormalCertificate:
     """Certify (alpha, beta)-normality from the singular value decomposition of T.
 
-    The ratios are read on the r singular directions outside the
-    numerical kernel of kernels_equal (relative cutoff n * 2**-52), as
+    The ratios are read on the r singular directions above the
+    numerical kernel cutoff of kernels_equal (n * 2**-52 * sigma_1), as
     the singular values of B = T* V_r diag(sigma_r)^-1.  Column j of B
     is T*x / ||Tx|| at x = v_j, so its norm is at most
     sigma_1 / sigma_r <= 2**52 / n.  The witnesses are
@@ -148,24 +148,25 @@ def _factor(cert: ABNormalCertificate) -> float:
     return max(1.0 + cert.alpha_best**2, 1.0 + 1.0 / cert.beta_best**2)
 
 
+def _spread_bound(t, cert: ABNormalCertificate, pair: str, k: float) -> float:
+    """sqrt(f ||T||^2 / 4 + |a^2 - b^2| / k), with f the certificate's
+    factor and (a, b) the workspace's norm pair named pair."""
+    factor = _factor(cert)
+    ws = Workspace.of(t)
+    a, b = getattr(ws, pair)
+    return math.sqrt(factor * ws.norm**2 / 4.0 + abs(a**2 - b**2) / k)
+
+
 def lower_th5(t, cert: ABNormalCertificate) -> float:
     """sqrt(max(1 + a^2, 1 + 1/b^2) ||T||^2 / 4 + | ||Re T||^2 - ||Im T||^2 | / 2),
     a lower bound on w(T) for certified matrices."""
-    factor = _factor(cert)
-    ws = Workspace.of(t)
-    re_norm, im_norm = ws.re_im_norms
-    spread = abs(re_norm**2 - im_norm**2)
-    return math.sqrt(factor * ws.norm**2 / 4.0 + spread / 2.0)
+    return _spread_bound(t, cert, "re_im_norms", 2.0)
 
 
 def lower_th6(t, cert: ABNormalCertificate) -> float:
     """Like lower_th5 but spread through the rotated Cartesian pair:
     | ||Re+Im||^2 - ||Re-Im||^2 | / 4 under the square root."""
-    factor = _factor(cert)
-    ws = Workspace.of(t)
-    plus_norm, minus_norm = ws.rotated_norms
-    spread = abs(plus_norm**2 - minus_norm**2)
-    return math.sqrt(factor * ws.norm**2 / 4.0 + spread / 4.0)
+    return _spread_bound(t, cert, "rotated_norms", 4.0)
 
 
 def lower_sab(t, cert: ABNormalCertificate) -> float:

@@ -23,17 +23,18 @@ with equality at y = x; M(c)x is also the ambient gradient of F at x.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import OBJECTIVES, bound_th2
-from .errors import NoConvergence
-from .linalg import check_alpha, check_unit, eigh_desc, phase_normalize
+from .linalg import check_alpha, check_unit, eigh_desc, phase_normalize, require_finite
 from .radius import Workspace
 
 GRAD_TOL = 1e-10
 MAX_STEPS = 500
+_TOO_LARGE = "is not finite: the matrix is too large"
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ def _value(a: np.ndarray, alpha: float, x: np.ndarray) -> tuple[float, complex]:
     tx = a @ x
     c = np.vdot(x, tx)
     f = float(alpha * (c.real * c.real + c.imag * c.imag) + (1.0 - alpha) * np.vdot(tx, tx).real)
-    return (f if math.isfinite(f) else _finite(f, "the alpha objective")), c
+    return (f if math.isfinite(f) else require_finite(f, f"the alpha objective {_TOO_LARGE}")), c
 
 
 def _apply_surrogate(a: np.ndarray, alpha: float, c: complex, y: np.ndarray) -> np.ndarray:
@@ -64,13 +65,6 @@ def _apply_surrogate(a: np.ndarray, alpha: float, c: complex, y: np.ndarray) -> 
 def _tangent(a: np.ndarray, alpha: float, c: complex, x: np.ndarray) -> np.ndarray:
     g = _apply_surrogate(a, alpha, c, x)
     return g - np.vdot(x, g) * x
-
-
-def _finite(value, name: str):
-    """value, or NoConvergence when it is not finite (an intermediate overflowed)."""
-    if not np.isfinite(value).all():
-        raise NoConvergence(f"{name} is not finite: the matrix is too large")
-    return value
 
 
 def alpha_objective(t, alpha: float, x) -> float:
@@ -90,7 +84,7 @@ def alpha_gradient(t, alpha: float, x) -> np.ndarray:
     """
     a, alpha, v = Workspace.of(t).a, check_alpha(alpha), check_unit(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(_tangent(a, alpha, _value(a, alpha, v)[1], v), "the alpha gradient")
+        return require_finite(_tangent(a, alpha, _value(a, alpha, v)[1], v), f"the alpha gradient {_TOO_LARGE}")
 
 
 def _ascend(a: np.ndarray, alpha: float, x0: np.ndarray) -> tuple[float, np.ndarray]:
@@ -105,8 +99,11 @@ def _ascend(a: np.ndarray, alpha: float, x0: np.ndarray) -> tuple[float, np.ndar
     strictly rising, or after MAX_STEPS steps.  F and the tangent both
     scale as s^2 under T -> sT, so the first test decides alike at every
     scale; it compares norms, not squares, so that the threshold never
-    overflows.  Raises NoConvergence when F or the tangent step is not
-    finite (an intermediate overflowed).
+    overflows.  When ||t||^2 is not a normal float (zero, subnormal or
+    not finite) it may have under- or overflowed, and ||t|| is taken
+    from hypot's rescaled reduction of |t_i| instead; otherwise the test
+    reads sqrt(||t||^2) with no extra work.  Raises NoConvergence when
+    F or the tangent step is not finite (an intermediate overflowed).
     """
     x = x0 / math.sqrt(np.vdot(x0, x0).real)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -115,10 +112,11 @@ def _ascend(a: np.ndarray, alpha: float, x0: np.ndarray) -> tuple[float, np.ndar
         for _ in range(MAX_STEPS):
             t = _tangent(a, alpha, c, x)
             tt = np.vdot(t, t).real
-            if not math.isfinite(tt):
-                # Only a non-finite step is refused; a finite one whose square overflows goes on.
-                _finite(t, "the alpha ascent step")
-            if math.sqrt(tt) <= GRAD_TOL * f:
+            norm = math.sqrt(tt)
+            if not sys.float_info.min <= tt < math.inf:
+                # ||t||^2 is not a normal float: hypot rescales at every step, so ||t|| cannot under- or overflow.
+                norm = float(np.hypot.reduce(np.abs(require_finite(t, f"the alpha ascent step {_TOO_LARGE}"))))
+            if norm <= GRAD_TOL * f:
                 break
             q = np.linalg.qr(np.stack([x, t, s], axis=1))[0]
             y = q @ eigh_desc(q.conj().T @ _apply_surrogate(a, alpha, c, q))[1][:, 0]

@@ -25,8 +25,10 @@ Report identifiers:
     TH3 / COR3       alpha-minimized Buzano-route bounds (w^2 scale)
     COR4             min of TH3 and COR3
     EQN5             the alpha = 1 member of the Buzano route
-    KITTANEH_SUM     ||T*T + TT*|| / 2           (w^2 scale)
-    KITTANEH_MODULI  |||T| + |T*||| / 2          (w scale)
+    KITTANEH_SUM     the alpha = 1/2 member of PP0's family:
+                     ||T*T + TT*|| / 2            (w^2 scale)
+    KITTANEH_MODULI  the alpha = 1/2 member of TH4's inner family:
+                     |||T| + |T*||| / 2           (w scale)
     TH4              alpha-minimized ||a|T| + (1-a)|T*||| * ||T||
     IMPR1            sqrt of TH4 (w scale)
     LOW1             max(||Re T||, ||Im T||)      (lower)
@@ -34,7 +36,9 @@ Report identifiers:
 
 TH2 coincides with PP0 and TH4 with IMPR1^2 by construction; the
 duplicated rows mirror how the optimized forms are derived from the
-pointwise ones.
+pointwise ones.  EQN5 and the two Kittaneh rows are fixed members of
+the objective families (th3 at alpha = 1, pp0 and moduli_mix at
+alpha = 1/2), read from the same objectives the search minimizes.
 
 The catalog is one table, CATALOG, over a shared Workspace: each row
 is an alpha-objective minimized once per matrix (one joint search
@@ -53,8 +57,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadExponent, NoConvergence
-from .linalg import check_alpha, eigh_desc, herm_norm, hermitian_product
+from .errors import BadExponent
+from .linalg import check_alpha, eigh_desc, herm_norm, hermitian_product, require_finite
 from .radius import RadiusBracket, Workspace, numerical_radius
 
 KIND_UPPER_W2 = "upper-on-w2"
@@ -198,8 +202,7 @@ class _Search:
             + self.objective.q[1] * np.vdot(v, self.y @ v).real
             + self.c
         )
-        if not (math.isfinite(value) and math.isfinite(slope)):
-            raise NoConvergence("alpha-objective not finite: the matrix is too large")
+        require_finite((value, slope), "alpha-objective not finite: the matrix is too large")
         self.points.append((a, value, float(slope)))
         if value < self.best[1]:
             self.best = self.points[-1]
@@ -315,8 +318,9 @@ CATALOG = (
     ("COR3", KIND_UPPER_W2, "alpha-min", "cor3"),
     ("COR4", KIND_UPPER_W2, "min-of", ("TH3", "COR3")),
     ("EQN5", KIND_UPPER_W2, "fixed", lambda ws: OBJECTIVES["th3"](ws, 1.0)),
-    ("KITTANEH_SUM", KIND_UPPER_W2, "fixed", lambda ws: 0.5 * herm_norm(ws.gram + ws.cogram)),
-    ("KITTANEH_MODULI", KIND_UPPER_W, "fixed", lambda ws: 0.5 * herm_norm(ws.abs_t + ws.abs_t_star)),
+    # Kittaneh's two bounds are the alpha = 1/2 members of the pp0 and moduli_mix families.
+    ("KITTANEH_SUM", KIND_UPPER_W2, "fixed", lambda ws: OBJECTIVES["pp0"](ws, 0.5)),
+    ("KITTANEH_MODULI", KIND_UPPER_W, "fixed", lambda ws: OBJECTIVES["moduli_mix"](ws, 0.5)),
     ("TH4", KIND_UPPER_W2, "norm-times", "moduli_mix"),
     ("IMPR1", KIND_UPPER_W, "sqrt-of", "TH4"),
     ("LOW1", KIND_LOWER_W, "fixed", lambda ws: max(ws.re_im_norms)),

@@ -6,14 +6,15 @@ here: the three checked routes to numpy's solvers (eigh_desc for
 Hermitian eigenpairs, herm_eigvals, with its view herm_norms, for
 Hermitian eigenvalues, each on one matrix or a stack, and svd_desc for
 singular triplets; each refuses a non-finite result with
-NoConvergence), checked Hermitian products, PSD powers and Cartesian
-parts.  A PSD matrix passed in from outside has one validated
-decomposition, psd_eig, behind every power of it; the workspace's
-polar powers come from its singular value decomposition instead.  The
-per-matrix helpers built on these (polar_moduli and hermitian_section
-in radius, kernels_equal in abnormal) read a radius.Workspace.  All
-functions are pure, take array-likes, and return fresh complex128
-ndarrays, so values are safe to share across threads.
+NoConvergence through require_finite, the one such check), checked
+Hermitian products, PSD powers and Cartesian parts.  A PSD matrix
+passed in from outside has one validated decomposition, psd_eig,
+behind every power of it; the workspace's polar powers come from its
+singular value decomposition instead.  The per-matrix helpers built
+on these (polar_moduli and hermitian_section in radius, kernels_equal
+in abnormal) read a radius.Workspace.  All functions are pure, take
+array-likes, and return fresh complex128 ndarrays, so values are safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -68,11 +69,24 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
+def require_finite(value, message: str):
+    """value, or NoConvergence(message) when an entry of it is not finite.
+
+    value is an array, a float, or a tuple of them of any shapes.
+    """
+    for part in value if isinstance(value, tuple) else (value,):
+        # count_nonzero costs half of .all() on small arrays, and eigh_desc runs this per Ritz step.
+        if np.count_nonzero(np.isfinite(part)) < np.size(part):
+            raise NoConvergence(message)
+    return value
+
+
 def _hermitize(h: np.ndarray) -> np.ndarray:
-    """(h + h*) / 2 over the last two axes; an overflow leaves a non-finite
-    entry for the caller's check rather than a RuntimeWarning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (h + h.conj().swapaxes(-1, -2)) / 2.0
+    """h / 2 + (h / 2)* over the last two axes.  h is halved first, so the
+    sum cannot overflow for a finite h; outside the subnormal range it
+    equals (h + h*) / 2 bit for bit."""
+    h = h / 2.0
+    return h + h.conj().swapaxes(-1, -2)
 
 
 def eigh_desc(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,9 +100,7 @@ def eigh_desc(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vals, vecs = np.linalg.eigh(_hermitize(h))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
-    # count_nonzero costs half of .all() on small arrays, and this runs per Ritz step.
-    if np.count_nonzero(np.isfinite(vals)) + np.count_nonzero(np.isfinite(vecs)) < vals.size + vecs.size:
-        raise NoConvergence("non-finite eigenpair: an intermediate matrix overflowed")
+    require_finite((vals, vecs), "non-finite eigenpair: an intermediate matrix overflowed")
     return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
@@ -102,9 +114,7 @@ def herm_eigvals(stack: np.ndarray) -> np.ndarray:
         vals = np.linalg.eigvalsh(stack)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
-    if not np.isfinite(vals).all():
-        raise NoConvergence("non-finite eigenvalue: an intermediate matrix overflowed")
-    return vals
+    return require_finite(vals, "non-finite eigenvalue: an intermediate matrix overflowed")
 
 
 def herm_norms(stack: np.ndarray) -> np.ndarray:
@@ -119,16 +129,14 @@ def herm_norm(h: np.ndarray) -> float:
 
 
 def hermitian_product(x: np.ndarray, y: np.ndarray, name: str) -> np.ndarray:
-    """Re(x @ y) = (xy + (xy)*) / 2, refused (NoConvergence) when it overflows.
+    """Re(x @ y) = (xy + (xy)*) / 2, refused (NoConvergence) when xy overflows.
 
     The result is exactly Hermitian, so hermitizing it again (as
     eigh_desc does) changes no bit.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         h = _hermitize(x @ y)
-    if not np.isfinite(h).all():
-        raise NoConvergence(f"{name} has a non-finite entry: the matrix is too large")
-    return h
+    return require_finite(h, f"{name} has a non-finite entry: the matrix is too large")
 
 
 @dataclass(frozen=True)
@@ -173,8 +181,7 @@ def svd_desc(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u, sigma, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"singular value decomposition failed: {exc}") from exc
-    if not (np.isfinite(sigma).all() and np.isfinite(u).all() and np.isfinite(vh).all()):
-        raise NoConvergence("non-finite singular triplet")
+    require_finite((u, sigma, vh), "non-finite singular triplet")
     return u, sigma, vh.conj().T
 
 

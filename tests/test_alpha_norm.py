@@ -247,13 +247,7 @@ def test_upper_certificates_at_an_underflowing_scale():
         2.0**-20,
         2.0**-27,
         2.0**465,
-        pytest.param(
-            2.0**-300,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="ROADMAP item 3(a): the squared tangent norm underflows to 0 and stops the ascent",
-            ),
-        ),
+        2.0**-300,
     ],
     ids=["2^-20", "2^-27", "2^465", "2^-300"],
 )
@@ -261,6 +255,7 @@ def test_ascent_is_scale_free(scale):
     # The ascent stopped at an absolute tangent norm GRAD_TOL: at 2^-20 and
     # 2^-27 best_value came out 4.14e-2 low.  At 2^465 a squared threshold
     # (GRAD_TOL F)^2 overflows a Python float, so the rule compares norms.
+    # At 2^-300 the squared tangent norm underflowed to 0 and stopped every ascent.
     t = random_complex(np.random.default_rng(3), 5)
     unit = alpha_norm_estimate(t, 0.5, restarts=4, seed=0).best_value
     scaled = alpha_norm_estimate(scale * t, 0.5, restarts=4, seed=0).best_value

@@ -17,7 +17,16 @@ from numrad import (
     singular_values,
     spectral_norm,
 )
-from numrad.linalg import EPS, eigh_desc, herm_eigvals, herm_norm, herm_norms, svd_desc
+from numrad.linalg import (
+    EPS,
+    eigh_desc,
+    herm_eigvals,
+    herm_norm,
+    herm_norms,
+    hermitian_product,
+    require_finite,
+    svd_desc,
+)
 from numrad.worked_examples import LOWER_TRIANGULAR_2 as T2, SHIFT_3 as T3
 
 from conftest import random_complex, random_hermitian, random_unitary
@@ -283,6 +292,36 @@ class TestKernelsEqual:
     def test_normal_with_kernel(self):
         cmp = kernels_equal(np.diag([0.0, 1.0]))
         assert cmp.equal and cmp.kernel_dim == 1 and cmp.adjoint_kernel_dim == 1
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_matrix_takes_the_general_cut(self, n):
+        # Every singular value is 0 = n eps sigma_1, inside the inclusive cut.
+        assert kernels_equal(np.zeros((n, n))) == (True, n, n)
+
+
+class TestRequireFinite:
+    @pytest.mark.parametrize(
+        "value",
+        [np.ones((2, 3)), (np.zeros(2), np.eye(2)), (1.0, -2.5), 0.0, 1e308],
+        ids=["array", "arrays", "floats", "zero", "huge"],
+    )
+    def test_returns_a_finite_value(self, value):
+        assert require_finite(value, "unused") is value
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.array([1.0, np.inf]), (np.ones(2), np.array([[np.nan]])), (1.0, -np.inf), math.nan, complex(0, np.inf)],
+        ids=["array", "arrays", "floats", "nan", "complex"],
+    )
+    def test_refuses_a_non_finite_value(self, value):
+        with pytest.raises(NoConvergence, match="^the given message$"):
+            require_finite(value, "the given message")
+
+
+@pytest.mark.filterwarnings("error")
+def test_hermitian_product_halves_before_it_adds():
+    # (h + h*) / 2 overflowed at 1.5e308 before the halving; h / 2 + (h / 2)* does not.
+    assert np.array_equal(hermitian_product(np.array([[1e308]]), np.array([[1.5]]), "x"), [[1.5e308]])
 
 
 # Every entry is finite, but M*M and MM* overflow.

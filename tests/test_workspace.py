@@ -32,7 +32,7 @@ from numrad import (
     pp0_min,
     spectral_norm,
 )
-from numrad.linalg import EPS, power_from_eig, svd_desc
+from numrad.linalg import EPS, herm_norm, power_from_eig, svd_desc
 from numrad.worked_examples import LOWER_TRIANGULAR_2 as T2, SHIFT_3 as T3
 
 from conftest import random_complex
@@ -171,6 +171,14 @@ def test_views_equal_report_rows(m):
     assert (impr1, a4) == row("IMPR1")
     assert report.minima["moduli_mix"] == (a4, inner)
     assert lower_general(m) == (rows["LOW1"].value, rows["LOW4"].value)
+
+
+@pytest.mark.parametrize("m", MATRICES, ids=IDS)
+def test_kittaneh_rows_are_the_half_members_of_their_families(m):
+    ws = Workspace(m)
+    rows = {e.bound_id: e.value for e in bound_report(ws, 1e-9).entries}
+    assert rows["KITTANEH_SUM"] == 0.5 * herm_norm(ws.gram + ws.cogram)
+    assert rows["KITTANEH_MODULI"] == 0.5 * herm_norm(ws.abs_t + ws.abs_t_star)
 
 
 @pytest.mark.parametrize("m", MATRICES, ids=IDS)
