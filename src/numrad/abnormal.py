@@ -166,7 +166,7 @@ def lower_th5(t, cert: ABNormalCertificate) -> float:
 def lower_th6(t, cert: ABNormalCertificate) -> float:
     """Like lower_th5 but spread through the rotated Cartesian pair:
     | ||Re+Im||^2 - ||Re-Im||^2 | / 4 under the square root."""
-    return _spread_bound(t, cert, "rotated_norms", 4.0)
+    return _spread_bound(t, cert, "half_rotated_norms", 1.0)
 
 
 def lower_sab(t, cert: ABNormalCertificate) -> float:

@@ -18,18 +18,30 @@ The ascent is minorize-maximize.  With c = <Tx, x> at the current x,
     F(y) >= <M(c)y, y> - alpha |c|^2,  M(c) = alpha (conj(c) T + c T*) + (1 - alpha) T*T,
 
 with equality at y = x; M(c)x is also the ambient gradient of F at x.
+
+All starts ascend in lockstep, as the block form of LOBPCG advances
+its vectors (Knyazev, SIAM J. Sci. Comput. 23, 2001), whose
+three-vector subspace the Ritz step uses: a round takes one stacked
+QR, products of T with every live start's basis as one block of
+rows, one stacked eigh_desc and one batched F, and each start retires
+by its own rules.  The block stops once the best F reached is within
+a relative 4 eps of the squared sandwich cap min(||T||^2, th2, gamma),
+the square of upper_cert: no ascent rises past the cap, so no further
+step could raise best_value by more than about 4 ulps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import OBJECTIVES, bound_th2
-from .linalg import check_alpha, check_unit, eigh_desc, phase_normalize, require_finite
+from .linalg import EPS, check_alpha, check_unit, eigh_desc, phase_normalize, require_finite
 from .radius import Workspace
 
 GRAD_TOL = 1e-10
@@ -47,31 +59,36 @@ class AlphaNormEstimate:
     upper_cert: float
 
 
-def _value(a: np.ndarray, alpha: float, x: np.ndarray) -> tuple[float, complex]:
-    """(F(x), <Tx, x>) for a unit vector x; NoConvergence when F overflows."""
-    tx = a @ x
-    c = np.vdot(x, tx)
-    f = float(alpha * (c.real * c.real + c.imag * c.imag) + (1.0 - alpha) * np.vdot(tx, tx).real)
-    return (f if math.isfinite(f) else require_finite(f, f"the alpha objective {_TOO_LARGE}")), c
+def _values(a: np.ndarray, alpha: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, <Tx, x>, Tx) for each unit row x of a block, Tx as rows; NoConvergence when an F overflows."""
+    tx = x @ a.T
+    c = np.einsum("ij,ij->i", x.conj(), tx)
+    f = alpha * (c.real * c.real + c.imag * c.imag) + (1.0 - alpha) * np.einsum("ij,ij->i", tx.conj(), tx).real
+    return require_finite(f, f"the alpha objective {_TOO_LARGE}"), c, tx
 
 
-def _apply_surrogate(a: np.ndarray, alpha: float, c: complex, y: np.ndarray) -> np.ndarray:
-    """M(c) y for a vector or a block of columns y, without forming M(c)."""
-    ah = a.conj().T
-    ty = a @ y
-    return alpha * (np.conj(c) * ty + c * (ah @ y)) + (1.0 - alpha) * (ah @ ty)
+def _apply_surrogate(a: np.ndarray, alpha: float, c, y: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """Rows M(c) y for a block of rows y, given ty = T y as rows, without
+    forming M(c); c broadcasts against the rows."""
+    return alpha * np.conj(c) * ty + (alpha * c * y + (1.0 - alpha) * ty) @ a.conj()
 
 
-def _tangent(a: np.ndarray, alpha: float, c: complex, x: np.ndarray) -> np.ndarray:
-    g = _apply_surrogate(a, alpha, c, x)
-    return g - np.vdot(x, g) * x
+def _tangents(a: np.ndarray, alpha: float, x: np.ndarray, c: np.ndarray, tx: np.ndarray) -> np.ndarray:
+    """Rows g - <x, g> x, g = M(c) x, for unit rows x with their <Tx, x> and Tx."""
+    g = _apply_surrogate(a, alpha, c[:, None], x, tx)
+    return g - np.einsum("ij,ij->i", x.conj(), g)[:, None] * x
+
+
+def _rows(mask: np.ndarray, *blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows of each block where mask holds; the blocks themselves when it holds everywhere."""
+    return blocks if mask.all() else tuple(b[mask] for b in blocks)
 
 
 def alpha_objective(t, alpha: float, x) -> float:
     """alpha |<Tx, x>|^2 + (1 - alpha) ||Tx||^2 for a unit vector x (NoConvergence on overflow)."""
     a, alpha, v = Workspace.of(t).a, check_alpha(alpha), check_unit(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _value(a, alpha, v)[0]
+        return float(_values(a, alpha, v[None])[0][0])
 
 
 def alpha_gradient(t, alpha: float, x) -> np.ndarray:
@@ -84,47 +101,72 @@ def alpha_gradient(t, alpha: float, x) -> np.ndarray:
     """
     a, alpha, v = Workspace.of(t).a, check_alpha(alpha), check_unit(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        return require_finite(_tangent(a, alpha, _value(a, alpha, v)[1], v), f"the alpha gradient {_TOO_LARGE}")
+        _, c, tx = _values(a, alpha, v[None])
+        return require_finite(_tangents(a, alpha, v[None], c, tx)[0], f"the alpha gradient {_TOO_LARGE}")
 
 
-def _ascend(a: np.ndarray, alpha: float, x0: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minorize-maximize ascent from x0; returns (F(x), x) at its limit.
+def _ascend(a: np.ndarray, alpha: float, x0: np.ndarray, cap: Callable[[], float]) -> tuple[np.ndarray, np.ndarray]:
+    """Minorize-maximize ascent from every row of the block x0, in
+    lockstep; returns (F, x) at each start's limit, one row per start.
 
     A step moves to the unit y in span(x, t, s) that maximizes <M(c)y, y>:
     Q times the top eigenvector of the 3x3 matrix Q* M(c) Q, Q an
     orthonormal basis, t the tangent part of M(c)x, s the previous step
     (zero at first).  x is in the span, so F(y) >= <M(c)y, y> - alpha |c|^2
     >= <M(c)x, x> - alpha |c|^2 = F(x): no step lowers F or needs a step
-    size.  Stops at tangent norm <= GRAD_TOL * F(x), when F stops
-    strictly rising, or after MAX_STEPS steps.  F and the tangent both
-    scale as s^2 under T -> sT, so the first test decides alike at every
-    scale; it compares norms, not squares, so that the threshold never
+    size.  A round steps every live start at once: one stacked QR of
+    the [x, t, s] blocks, products of T with all the bases as one
+    (3k, n) block of rows, one stacked eigh_desc of the k Ritz matrices
+    and one batched F.  Each start keeps its own rules and retires on
+    its own: at tangent norm <= GRAD_TOL * F(x), when F stops strictly
+    rising, or after MAX_STEPS steps.  F and the tangent both scale as
+    s^2 under T -> sT, so the first test decides alike at every scale;
+    it compares norms, not squares, so that the threshold never
     overflows.  When ||t||^2 is not a normal float (zero, subnormal or
     not finite) it may have under- or overflowed, and ||t|| is taken
     from hypot's rescaled reduction of |t_i| instead; otherwise the test
-    reads sqrt(||t||^2) with no extra work.  Raises NoConvergence when
-    F or the tangent step is not finite (an intermediate overflowed).
+    reads sqrt(||t||^2) with no extra work.
+
+    cap() is the squared sandwich cap, an upper bound on sup F; it is
+    called once, after the first round's tangent test, so that an
+    overflow in the ascent is refused before the cap's own products
+    form.  The whole block stops once the best F reached is within a
+    relative 4 eps of the cap: no start can rise past the cap (beyond
+    the rounding of its bound), so further steps could not raise the
+    best square root by more than about 2 eps relative, 4 ulps.  Raises
+    NoConvergence when F or a tangent step is not finite (an
+    intermediate overflowed).
     """
-    x = x0 / math.sqrt(np.vdot(x0, x0).real)
+    x = x0 / np.linalg.norm(x0, axis=1)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        f, c = _value(a, alpha, x)
-        s = np.zeros_like(x)
-        for _ in range(MAX_STEPS):
-            t = _tangent(a, alpha, c, x)
-            tt = np.vdot(t, t).real
-            norm = math.sqrt(tt)
-            if not sys.float_info.min <= tt < math.inf:
+        f, c, tx = _values(a, alpha, x)
+        limit_f, limit_x = f.copy(), x.copy()
+        live, s = np.arange(len(x)), np.zeros_like(x)
+        for step in range(MAX_STEPS):
+            t = _tangents(a, alpha, x, c, tx)
+            tt = np.einsum("ij,ij->i", t.conj(), t).real
+            norm = np.sqrt(tt)
+            odd = ~((tt >= sys.float_info.min) & (tt < math.inf))
+            if odd.any():
                 # ||t||^2 is not a normal float: hypot rescales at every step, so ||t|| cannot under- or overflow.
-                norm = float(np.hypot.reduce(np.abs(require_finite(t, f"the alpha ascent step {_TOO_LARGE}"))))
-            if norm <= GRAD_TOL * f:
+                t_odd = require_finite(t[odd], f"the alpha ascent step {_TOO_LARGE}")
+                norm[odd] = np.hypot.reduce(np.abs(t_odd), axis=1)
+            if step == 0:
+                stop = cap() * (1.0 - 4.0 * EPS)
+            go = norm > GRAD_TOL * f
+            if not go.any() or limit_f.max() >= stop:
                 break
-            q = np.linalg.qr(np.stack([x, t, s], axis=1))[0]
-            y = q @ eigh_desc(q.conj().T @ _apply_surrogate(a, alpha, c, q))[1][:, 0]
-            fy, cy = _value(a, alpha, y)
-            if not fy > f:
-                break
-            x, s, f, c = y, y - x, fy, cy
-    return f, x
+            live, x, t, s, f, c = _rows(go, live, x, t, s, f, c)
+            q = np.linalg.qr(np.stack([x, t, s], axis=2))[0]
+            k, n, m = q.shape
+            rows = q.transpose(0, 2, 1).reshape(k * m, n)
+            mq = _apply_surrogate(a, alpha, np.repeat(c, m)[:, None], rows, rows @ a.T)
+            ritz = rows.conj().reshape(k, m, n) @ mq.reshape(k, m, n).transpose(0, 2, 1)
+            y = (q @ eigh_desc(ritz)[1][:, :, :1])[:, :, 0]
+            fy, cy, ty = _values(a, alpha, y)
+            live, x, s, f, c, tx = _rows(fy > f, live, y, y - x, fy, cy, ty)
+            limit_f[live], limit_x[live] = f, x
+    return limit_f, limit_x
 
 
 def alpha_norm_estimate(
@@ -142,11 +184,15 @@ def alpha_norm_estimate(
     recomputed unless one is passed in; a passed-in one that is not a
     finite nonzero vector of length n raises ValueError when
     restarts >= 2, the only case that uses it), the rest uniform draws
-    from the complex unit sphere.  best_value is the maximum of
-    the ascent limits, ties resolved toward the lowest restart index;
-    upper_cert is min(||T||, sqrt(th2 bound), sqrt(gamma)) at the same
-    alpha, where gamma is the catalog's COR1 objective: the th1 bound
-    at exponent 1/2, since |T|^2 = T*T.
+    from the complex unit sphere.  All starts ascend together, in
+    lockstep rounds (_ascend).  best_value is the maximum of the ascent
+    limits, ties resolved toward the lowest restart index; upper_cert
+    is min(||T||, sqrt(th2 bound), sqrt(gamma)) at the same alpha,
+    where gamma is the catalog's COR1 objective: the th1 bound at
+    exponent 1/2, since |T|^2 = T*T.  Its square is the ascent's cap:
+    the ascent stops once some start's F is within a relative 4 eps of
+    it, which lowers best_value by at most about 4 ulps, and only where
+    the sandwich is already closed to that width.
     """
     alpha = check_alpha(alpha)
     restarts = int(restarts)
@@ -171,14 +217,16 @@ def alpha_norm_estimate(
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         starts.append(v / np.linalg.norm(v))
 
-    best_f, best_x = max((_ascend(a, alpha, x0) for x0 in starts), key=lambda fx: fx[0])
+    # One evaluation of the squared bound serves the ascent's cap and upper_cert.
+    squared = functools.cache(lambda: min(bound_th2(ws, alpha), OBJECTIVES["gamma"](ws, alpha)))
+    limits, vectors = _ascend(a, alpha, np.stack(starts), lambda: min(ws.norm * ws.norm, squared()))
+    best = int(np.argmax(limits))  # the first maximal limit
 
     # The square root is monotone, so one root of the smaller w^2 bound serves both.
-    squared = min(bound_th2(ws, alpha), OBJECTIVES["gamma"](ws, alpha))
-    upper = min(ws.norm, math.sqrt(max(squared, 0.0)))
+    upper = min(ws.norm, math.sqrt(max(squared(), 0.0)))
     return AlphaNormEstimate(
         alpha=alpha,
-        best_value=math.sqrt(max(best_f, 0.0)),
-        best_vector=phase_normalize(best_x),
+        best_value=math.sqrt(max(float(limits[best]), 0.0)),
+        best_vector=phase_normalize(vectors[best]),
         upper_cert=upper,
     )

@@ -324,7 +324,7 @@ CATALOG = (
     ("TH4", KIND_UPPER_W2, "norm-times", "moduli_mix"),
     ("IMPR1", KIND_UPPER_W, "sqrt-of", "TH4"),
     ("LOW1", KIND_LOWER_W, "fixed", lambda ws: max(ws.re_im_norms)),
-    ("LOW4", KIND_LOWER_W, "fixed", lambda ws: max(ws.rotated_norms) / math.sqrt(2.0)),
+    ("LOW4", KIND_LOWER_W, "fixed", lambda ws: max(ws.half_rotated_norms) / math.sqrt(0.5)),
 )
 
 BOUND_IDS = tuple(row[0] for row in CATALOG)

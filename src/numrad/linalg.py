@@ -84,9 +84,10 @@ def require_finite(value, message: str):
 def _hermitize(h: np.ndarray) -> np.ndarray:
     """h / 2 + (h / 2)* over the last two axes.  h is halved first, so the
     sum cannot overflow for a finite h; outside the subnormal range it
-    equals (h + h*) / 2 bit for bit."""
+    equals (h + h*) / 2 bit for bit.  The sum is written into the halved
+    copy, so hermitizing a stack holds two new copies of it, not three."""
     h = h / 2.0
-    return h + h.conj().swapaxes(-1, -2)
+    return np.add(h, h.conj().swapaxes(-1, -2), out=h)
 
 
 def eigh_desc(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -59,7 +59,11 @@ The sweep's work is capped: every stacked solve is checked
 first against MAX_SECTION_ENTRIES (2^24 section entries, section
 matrices times n^2, per sweep), and one that would pass it raises
 Timeout, as do MAX_ROUNDS rounds.  The round cap keeps every angle
-exact, since k < 45 2^MAX_ROUNDS < 2^53.
+exact, since k < 45 2^MAX_ROUNDS < 2^53.  Its memory is capped too:
+a stacked solve is built and solved _SOLVE_ENTRIES = 2^16 section
+entries (1 MiB) at a time, so a 64 x 64 sweep holds 16 sections at
+once however many angles it solves, and every section gets the same
+eigenvalues, bit for bit, as in one stack.
 
 The sweep runs on a Workspace, the per-matrix cache through which
 every public function takes its matrix in; it sits here, under the
@@ -93,6 +97,8 @@ _COARSE_STEP = 8  # the sweep starts from every 8th angle of INITIAL_GRID
 MAX_ROUNDS = 40
 # The work cap: section matrices times n^2 per sweep.
 MAX_SECTION_ENTRIES = 1 << 24
+# The memory cap: section entries built and solved per herm_eigvals call (1 MiB).
+_SOLVE_ENTRIES = 1 << 16
 W_TERM_TOL = 1e-9
 _TWO_PI = 2.0 * np.pi
 
@@ -167,9 +173,10 @@ class Workspace:
         return tuple(map(herm_norm, self.re_im))
 
     @cached_property
-    def rotated_norms(self) -> tuple[float, float]:
-        """(||Re T + Im T||, ||Re T - Im T||)."""
-        re, im = self.re_im
+    def half_rotated_norms(self) -> tuple[float, float]:
+        """(||Re T + Im T|| / 2, ||Re T - Im T|| / 2), from the halved parts:
+        each is at most w(T), so neither sum nor norm overflows."""
+        re, im = (p / 2.0 for p in self.re_im)
         return herm_norm(re + im), herm_norm(re - im)
 
     @cached_property
@@ -366,13 +373,19 @@ def _sweep(t, tol: float) -> tuple[RadiusBracket, int, int]:
             f" {sections} section matrices evaluated, {k.size} intervals live{why}"
         )
 
+    chunk = max(1, _SOLVE_ENTRIES // a.size)
+
     def solve(thetas: np.ndarray) -> np.ndarray:
-        """Ascending eigenvalues of the sections at thetas, within the work cap."""
+        """Ascending eigenvalues of the sections at thetas, within the work
+        cap, built and solved _SOLVE_ENTRIES section entries at a time."""
         nonlocal sections
         if (sections + thetas.size) * a.size > MAX_SECTION_ENTRIES:
             raise timeout(f"; {thetas.size} more would pass the cap of {MAX_SECTION_ENTRIES} section entries")
         sections += thetas.size
-        return herm_eigvals(_sections(re, im, thetas))
+        vals = np.empty((thetas.size, a.shape[0]))
+        for lo in range(0, thetas.size, chunk):
+            vals[lo : lo + chunk] = herm_eigvals(_sections(re, im, thetas[lo : lo + chunk]))
+        return vals
 
     spectra = solve(k * h)
     gl = np.maximum(np.abs(spectra[:, 0]), np.abs(spectra[:, -1]))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import numrad.alpha_norm as alpha_norm_mod
 from numrad import (
     BadAlpha,
     NoConvergence,
@@ -17,7 +18,8 @@ from numrad import (
     stream_rng,
 )
 from numrad.alpha_norm import _ascend
-from numrad.linalg import EPS
+from numrad.linalg import EPS, phase_normalize
+from numrad.radius import Workspace
 from numrad.worked_examples import LOWER_TRIANGULAR_2 as T2, SHIFT_3 as T3
 
 from conftest import random_complex
@@ -49,7 +51,7 @@ def sphere_oracle(a: np.ndarray, alpha: float, samples: int = 1_000_000, seed: i
         if vals[k] > best_val:
             best_val = float(vals[k])
             best_x = x[k]
-    f, _ = _ascend(a, alpha, best_x)
+    f = _ascend(a, alpha, best_x[None], lambda: math.inf)[0][0]
     return math.sqrt(max(f, best_val))
 
 
@@ -260,3 +262,43 @@ def test_ascent_is_scale_free(scale):
     unit = alpha_norm_estimate(t, 0.5, restarts=4, seed=0).best_value
     scaled = alpha_norm_estimate(scale * t, 0.5, restarts=4, seed=0).best_value
     assert abs(scaled / scale - unit) <= 4 * EPS * unit
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 64])
+def test_lockstep_starts_do_not_affect_each_other(n):
+    # Each start of a block ascends as it would alone: the stacked QR and
+    # eigh and the (3k, n) products keep the rows apart.  An infinite cap
+    # keeps the sandwich open, so every start runs to its own limit.
+    rng = np.random.default_rng(n)
+    for a in (random_complex(rng, n), random_matrix("normal", n, rng)):
+        starts = rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n))
+        for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
+            block = _ascend(a, alpha, starts, lambda: math.inf)[0]
+            for i, x0 in enumerate(starts):
+                alone = _ascend(a, alpha, x0[None], lambda: math.inf)[0][0]
+                assert abs(block[i] - alone) <= 8 * n * EPS * alone, (alpha, i)
+
+
+def test_ties_go_to_the_lowest_start(monkeypatch):
+    def tied(a, alpha, x0, cap):
+        return np.ones(len(x0)), x0 / np.linalg.norm(x0, axis=1)[:, None]
+
+    monkeypatch.setattr(alpha_norm_mod, "_ascend", tied)
+    ws = Workspace(T3)
+    est = alpha_norm_estimate(ws, 0.5, restarts=4)
+    assert np.array_equal(est.best_vector, phase_normalize(ws.svd[2][:, 0]))
+
+
+def test_sandwich_stop_skips_the_crawl(monkeypatch):
+    # A 2x2 nilpotent shift of criterion 5's stream at alpha = 1/2: the
+    # V[:, 0] start already meets upper_cert, and the witness start used
+    # to crawl through all 500 Ritz steps of a degenerate maximum.
+    a = random_matrix("nilpotent-shift", 2, stream_rng(42, 1, 2, 0))
+    witness = numerical_radius(a, 1e-9).witness
+    uncapped = _ascend(a, 0.5, np.stack([Workspace(a).svd[2][:, 0], witness]), lambda: math.inf)[0]
+    calls = []
+    original = alpha_norm_mod.eigh_desc
+    monkeypatch.setattr(alpha_norm_mod, "eigh_desc", lambda h: calls.append(h) or original(h))
+    est = alpha_norm_estimate(a, 0.5, restarts=2, radius_witness=witness)
+    assert len(calls) <= 2
+    assert est.best_value >= math.sqrt(uncapped.max()) * (1 - 4 * EPS)

@@ -208,6 +208,15 @@ class TestLowerGeneral:
         _, low4 = lower_general(T3)
         assert low4 == pytest.approx(SQRT5 / 2, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_rotated_pair_near_the_top_of_the_range(self):
+        # ||Re T + Im T|| is about 2.07e308 here, past the largest float, but
+        # LOW4 is that over sqrt(2); summing the parts before halving them
+        # used to warn "overflow encountered in add" and then refuse.
+        t = np.array([[1 + 1j, 0.5], [0.25, -1 + 1j]])
+        _, low4 = lower_general(1e308 * t)
+        assert low4 == pytest.approx(1e308 * lower_general(t)[1], rel=1e-14)
+
 
 class TestBoundReport:
     def test_shift3_tightest_upper(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,28 @@ class TestNumericalRadius:
         monkeypatch.setattr(np.linalg, "eigvalsh", capped)
         with pytest.raises(Timeout, match="section matrices evaluated.*section entries"):
             numerical_radius(weighted_shift(n, scale), tol)
+
+    def test_section_stacks_stay_within_the_memory_cap(self):
+        # Stacking the 45 coarse 64 x 64 sections at once peaked at 6.2 MiB.
+        a = random_complex(np.random.default_rng(0), 64)
+        tracemalloc.start()
+        try:
+            numerical_radius(a, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 << 20
+
+    @pytest.mark.parametrize("seeded", [False, True], ids=["plateau", "smooth"])
+    def test_solving_in_pieces_changes_no_bit(self, monkeypatch, seeded):
+        rng = np.random.default_rng(4)
+        a = random_complex(rng, 8) if seeded else weighted_shift(8, 1.0, rng.uniform(0.0, 2 * np.pi, 7))
+        whole = numerical_radius(a, 1e-9)
+        # Three sections per call, so the 45- and 315-angle solves end in a short piece.
+        monkeypatch.setattr(radius_mod, "_SOLVE_ENTRIES", 3 * 64 + 5)
+        pieces = numerical_radius(a, 1e-9)
+        for field in ("lower", "upper", "argmax_angle", "witness"):
+            assert np.array_equal(getattr(whole, field), getattr(pieces, field)), field
 
     def test_requires_square(self):
         with pytest.raises(NotSquare):
