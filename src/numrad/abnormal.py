@@ -150,11 +150,18 @@ def _factor(cert: ABNormalCertificate) -> float:
 
 def _spread_bound(t, cert: ABNormalCertificate, pair: str, k: float) -> float:
     """sqrt(f ||T||^2 / 4 + |a^2 - b^2| / k), with f the certificate's
-    factor and (a, b) the workspace's norm pair named pair."""
+    factor and (a, b) the workspace's norm pair named pair.
+
+    ||T|| and the pair are divided by the power of two 2^e of
+    ||T|| = m 2^e, m in [1/2, 1), before squaring, and the root is
+    multiplied back, so no square overflows; scaling by a power of two
+    is exact, so elsewhere the value is the unscaled formula's, bit for
+    bit."""
     factor = _factor(cert)
     ws = Workspace.of(t)
-    a, b = getattr(ws, pair)
-    return math.sqrt(factor * ws.norm**2 / 4.0 + abs(a**2 - b**2) / k)
+    e = math.frexp(ws.norm)[1]
+    nrm, a, b = (math.ldexp(x, -e) for x in (ws.norm, *getattr(ws, pair)))
+    return math.ldexp(math.sqrt(factor * nrm**2 / 4.0 + abs(a**2 - b**2) / k), e)
 
 
 def lower_th5(t, cert: ABNormalCertificate) -> float:

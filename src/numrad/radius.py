@@ -23,22 +23,23 @@ theta -> lambda_max H(theta) is a supremum of sinusoids
 w(T) <= W, so it plus W theta^2 / 2 is convex; the maximum of the two
 sheets g keeps that property.  g is also L-Lipschitz with L = ||T||,
 but the bound L h / 2 it gives never beats W h^2 / 8: W <= L and
-h <= pi / 45 < 4.  L serves only the first cap, lower + L h / 2 on the
+h <= pi / 10 < 4.  L serves only the first cap, lower + L h / 2 on the
 coarse grid, before any W is proven.  Without the quadratic term,
 matrices whose section spectrum is theta-invariant (weighted shifts,
 where g is constant) would need ~2^20 eigenvalue evaluations to
 certify a 1e-8 bracket; with it a handful of rounds suffice.
 
 The certificate holds at any spacing, so the sweep starts coarse, from
-every 8th angle of the INITIAL_GRID = 360 angles (45 angles,
-h = pi / 45): on smooth inputs round 0 already drops most intervals.
-When it drops none and does not close the bracket, the sweep fills in
-the other 315 angles (one stacked eigvalsh, the 45 coarse spectra
+every 32nd angle of the INITIAL_GRID = 320 angles (10 angles,
+h = pi / 10): on smooth inputs the first rounds drop most intervals.
+When round 0 drops none and does not close the bracket, the sweep fills
+in the other 310 angles (one stacked eigvalsh, the 10 coarse spectra
 kept), takes its lower bound from the filled-in grid and tries the
 level-set certificate below on it; when that refuses, the refinement
-goes on from the 45 coarse intervals.  A live interval is an integer k
-at spacing h_r = (pi / 45) / 2^r, so every angle is exactly k h_r and
-round 3 samples the initial grid's angles as the same floats.
+goes on from the 10 coarse intervals.  A live interval is an integer k
+at spacing h_r = (pi / 10) / 2^r, so every angle is exactly k h_r and
+round 5 samples the initial grid's angles as the same floats (the
+coarse step is a power of two).
 
 On a plateau no interval certificate ever falls below the others, so
 branch and bound would refine every interval until W h^2 / 8 fits
@@ -59,15 +60,20 @@ The sweep's work is capped: every stacked solve is checked
 first against MAX_SECTION_ENTRIES (2^24 section entries, section
 matrices times n^2, per sweep), and one that would pass it raises
 Timeout, as do MAX_ROUNDS rounds.  The round cap keeps every angle
-exact, since k < 45 2^MAX_ROUNDS < 2^53.  Its memory is capped too:
+exact, since k < 10 2^MAX_ROUNDS < 2^53.  Its memory is capped too:
 a stacked solve is built and solved _SOLVE_ENTRIES = 2^16 section
 entries (1 MiB) at a time, so a 64 x 64 sweep holds 16 sections at
 once however many angles it solves, and every section gets the same
-eigenvalues, bit for bit, as in one stack.
+eigenvalues, bit for bit, as in one stack.  A tol below the rounding
+floor 32 n eps ||T|| of the computed sections is refused by
+numerical_radius before it sweeps, and raised to the floor inside the
+sweep, whose other callers read only its upper end or its witness.
 
 The sweep runs on a Workspace, the per-matrix cache through which
 every public function takes its matrix in; it sits here, under the
 sweep, because its two Buzano w-terms are radius brackets themselves.
+For w(|T| + i |T*|) the sweep covers only the quarter [pi / 2, pi]
+(see Workspace.w_mix_upper).
 """
 
 from __future__ import annotations
@@ -92,8 +98,8 @@ from .linalg import (
     svd_desc,
 )
 
-INITIAL_GRID = 360
-_COARSE_STEP = 8  # the sweep starts from every 8th angle of INITIAL_GRID
+INITIAL_GRID = 320
+_COARSE_STEP = 32  # the sweep starts from every 32nd angle of INITIAL_GRID
 MAX_ROUNDS = 40
 # The work cap: section matrices times n^2 per sweep.
 MAX_SECTION_ENTRIES = 1 << 24
@@ -186,8 +192,31 @@ class Workspace:
 
     @cached_property
     def w_mix_upper(self) -> float:
-        """Upper endpoint of the bracket for w(|T| + i |T*|)."""
-        return _sweep(self.abs_t + 1j * self.abs_t_star, W_TERM_TOL)[0].upper
+        """Upper bound on w(|T| + i |T*|), swept over a quarter circle.
+
+        For PSD A = |T| and B = |T*| every <(A + iB)x, x> lies in the
+        closed first quadrant, so w(A + iB) is the maximum over
+        phi in [0, pi / 2] of lambda_max(cos phi A + sin phi B).  With
+        theta = pi - phi that is -lambda_min(H(theta)) <= g(theta), so
+        the sweep keeps only the intervals in [pi / 2, pi].
+
+        The parts A and B the sweep reads are PSD only up to rounding:
+        lambda_min >= -delta.  Then A + delta I and B + delta I are PSD,
+        and shifting by delta (1 + i) I moves w by at most sqrt(2) delta
+        on each side of the quarter identity: 2 sqrt(2) delta < 3 delta
+        is added.  delta = n (n + 4) eps ||T|| bounds the worst case,
+        with u = eps / 2 the unit roundoff.  V diag(sigma) V* is exactly
+        PSD for any computed V; scaling V, forming the product and
+        hermitizing it cost at most (n + 2) u |V| diag(sigma) |V|*
+        entrywise, of norm at most sigma_1 ||V||_F^2 = n ||T||.  Adding
+        i |T*| and taking the Cartesian parts of the sum cost at most
+        3 sqrt(2) u ||T|| per entry, under 6 n u ||T|| in norm.  That is
+        n (n + 8) u ||T||, and the remaining n^2 u ||T|| of delta covers
+        the second-order terms.
+        """
+        n = self.a.shape[0]
+        delta = n * (n + 4) * EPS * self.norm
+        return _sweep(self.abs_t + 1j * self.abs_t_star, W_TERM_TOL, quarter=True)[0].upper + 3.0 * delta
 
     @cached_property
     def w_prod_upper(self) -> float:
@@ -245,6 +274,12 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _section_rounding(n: int, norm: float) -> float:
+    """gamma = 16 n eps ||T||, the rounding allowance of each computed
+    section eigenvalue (justified in _level_set_empty)."""
+    return 16 * n * EPS * norm
+
+
 def _level_set_empty(vals: np.ndarray, level: float, norm: float) -> bool:
     """True when no section H(theta) has an eigenvalue equal to level,
     certified from vals, the ascending eigenvalues of H at the
@@ -271,19 +306,19 @@ def _level_set_empty(vals: np.ndarray, level: float, norm: float) -> bool:
     2 n eps ||H|| for the backward error of eigvalsh, which LAPACK's
     error bounds take as eps ||H|| (a 1 x 1 eigvalsh is exact).
     Measured total errors, against a 40-digit reference on Ginibre
-    sections and against the closed form on shifts up to n = 114, stay
-    below 0.9 n eps ||T||.  Under gradual underflow errors are absolute,
-    but then ||T|| is far below every factor, which is at least
-    0.9 tol >= 9e-13.  Each sample p_j is bounded below and above by the
-    factors (f -+ gamma) / f, in log space so that nothing over- or
-    underflows, and the comparison keeps a margin of
-    8 n^2 eps (2 + max |log f| + |log rho|) for rounding in the logs and
-    their sums of n terms.  Refused (False) unless every factor exceeds
-    2 gamma and n h / 2 < 1/2 (n <= 114 at 360 angles).
+    sections and against the closed form on shifts up to n = 114 (past
+    the n <= 101 accepted below), stay below 0.9 n eps ||T||.  Under
+    gradual underflow errors are absolute, but then ||T|| is far below
+    every factor, which is at least 0.9 tol >= 9e-13.  Each sample p_j
+    is bounded below and above by the factors (f -+ gamma) / f, in log
+    space so that nothing over- or underflows, and the comparison keeps
+    a margin of 8 n^2 eps (2 + max |log f| + |log rho|) for rounding in
+    the logs and their sums of n terms.  Refused (False) unless every factor exceeds
+    2 gamma and n h / 2 < 1/2 (n <= 101 at 320 angles).
     """
     n = vals.shape[-1]
     half = n * np.pi / (2 * INITIAL_GRID)
-    gamma = 16 * n * EPS * norm
+    gamma = _section_rounding(n, norm)
     f = np.concatenate([level - vals, level + vals])
     if not (half < 0.5 and f.min() > 2.0 * gamma):
         return False
@@ -300,19 +335,19 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
 
     T is a matrix or its Workspace.  Sweeps g(theta) = ||H(theta)||
     over [0, pi), which carries the same certificate as lambda_max over
-    [0, 2pi) (see the module docstring): starts from 45 equispaced
-    angles, every 8th of the INITIAL_GRID = 360.  When that grid's
+    [0, 2pi) (see the module docstring): starts from 10 equispaced
+    angles, every 32nd of the INITIAL_GRID = 320.  When that grid's
     interval certificates neither close the bracket nor drop any
     interval (as on plateaus such as weighted shifts), it fills in the
-    other 315 angles and takes the lower bound from all 360 (the
-    spacing of 720 on the full circle).  If their eigenvalues certify
+    other 310 angles and takes the lower bound from all 320 (the
+    spacing of 640 on the full circle).  If their eigenvalues certify
     that no section reaches the level u = lower + 0.9 tol
     (_level_set_empty), the bracket closes at once with upper = u, or
     the coarse grid's proven bound if that is smaller.  Otherwise it
     keeps every interval whose certified local maximum, the larger end
     value plus W h^2 / 8 with W the running upper end and h the width,
     could still exceed the proven lower bound, and halves those
-    intervals, from the 45 coarse ones, until the bracket closes.  The
+    intervals, from the 10 coarse ones, until the bracket closes.  The
     first upper end is min(||T||, lower + ||T|| h / 2) on the coarse
     grid.  It raises Timeout, whose message gives the rounds, the
     section matrices evaluated and the intervals still live, after
@@ -323,17 +358,24 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
     Deterministic: ties in the running maximum are resolved toward the
     smallest angle.
 
-    Raises NoConvergence when the bracket around the witness value is
-    still wider than tol: tol is then below the rounding error of the
-    sections (about n eps ||T||), as for a Ginibre matrix scaled by
-    2^40 at tol 1e-9.
+    Raises NoConvergence, before any section is solved, when tol is
+    below the rounding floor 2 gamma = 32 n eps ||T|| of the sections
+    (gamma is _level_set_empty's allowance per computed eigenvalue), as
+    for a Ginibre matrix scaled by 2^40 at tol 1e-9; and when the
+    bracket around the witness value still comes out wider than tol.
 
     The witness is the top eigenvector of H at the best angle, or the
     bottom one, with argmax_angle moved by pi, when -lambda_min is
     strictly larger; an exact tie keeps the top eigenvector, so
     argmax_angle lies in [0, 2pi).
     """
-    bracket, rounds, sections = _sweep(t, tol)
+    tol = float(tol)
+    ws = Workspace.of(t)
+    floor = 2.0 * _section_rounding(ws.a.shape[0], ws.norm)
+    # A tol that is not a number, or below 1e-12, is _sweep's ValueError.
+    if 1e-12 <= tol < floor:
+        raise NoConvergence(f"the rounding floor {floor:.3e} of the sections (32 n eps ||T||) exceeds tol {tol:.3e}")
+    bracket, rounds, sections = _sweep(ws, tol)
     width = bracket.upper - bracket.lower
     if width > tol:
         raise NoConvergence(
@@ -343,12 +385,19 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
     return bracket
 
 
-def _sweep(t, tol: float) -> tuple[RadiusBracket, int, int]:
+def _sweep(t, tol: float, quarter: bool = False) -> tuple[RadiusBracket, int, int]:
     """numerical_radius without its width check, with the rounds and the
-    section matrices it took.  When tol is below the rounding of the
-    sections the bracket may come back wider than tol, but upper is
-    still a proven upper bound and lower a realized value |<Tx, x>|;
-    callers that read only upper or the witness use it directly.
+    section matrices it took.  A tol below the floor 2 gamma of
+    _section_rounding is raised to it, so the bracket may come back
+    wider than the tol asked for, but upper is still a proven upper
+    bound and lower a realized value |<Tx, x>|; callers that read only
+    upper or the witness use it directly.
+
+    quarter keeps only the live intervals in [pi / 2, pi], the coarse
+    k = 5 ... 9, the last of which ends at the wrap sample at 0 since
+    g(pi) = g(0).  Then upper bounds g on that quarter alone, as
+    Workspace.w_mix_upper needs; every sample, the plateau fill's too,
+    is still a realized lower bound.
     """
     tol = float(tol)
     if not tol >= 1e-12:
@@ -358,13 +407,17 @@ def _sweep(t, tol: float) -> tuple[RadiusBracket, int, int]:
     if nrm == 0.0:
         e1 = np.eye(1, a.shape[0], dtype=np.complex128)[0]
         return RadiusBracket(0.0, 0.0, 0.0, e1), 0, 0
+    tol = max(tol, 2.0 * _section_rounding(a.shape[0], nrm))
 
     re, im = ws.re_im
     # Live interval k is [k h, (k + 1) h], and h halves each round, so every
     # angle is exactly k h: the initial grid's angles j pi / INITIAL_GRID
     # come back as the same floats once h has halved down to their spacing.
     h = np.pi * _COARSE_STEP / INITIAL_GRID
-    k = np.arange(INITIAL_GRID // _COARSE_STEP)
+    coarse = INITIAL_GRID // _COARSE_STEP
+    k = np.arange(coarse // 2 if quarter else 0, coarse)
+    # The coarse samples: the i-th live interval runs from ends[i] to ends[i + 1], cyclically.
+    ends = np.append(k, 0) if quarter else k
     lower, upper, rounds, sections = 0.0, nrm, 0, 0
 
     def timeout(why: str = "") -> Timeout:
@@ -387,12 +440,13 @@ def _sweep(t, tol: float) -> tuple[RadiusBracket, int, int]:
             vals[lo : lo + chunk] = herm_eigvals(_sections(re, im, thetas[lo : lo + chunk]))
         return vals
 
-    spectra = solve(k * h)
-    gl = np.maximum(np.abs(spectra[:, 0]), np.abs(spectra[:, -1]))
-    gr = np.roll(gl, -1)
-    best = int(np.argmax(gl))
-    lower, best_theta = float(gl[best]), best * h
-    # Every angle is within h / 2 of a sample, so the L-Lipschitz g gives a first cap.
+    spectra = solve(ends * h)
+    g = np.maximum(np.abs(spectra[:, 0]), np.abs(spectra[:, -1]))
+    gl, gr = g[: k.size], np.roll(g, -1)[: k.size]
+    best = int(np.argmax(g))
+    lower, best_theta = float(g[best]), ends[best] * h
+    # Every angle of the live intervals is within h / 2 of a sample, so the
+    # L-Lipschitz g gives a first cap.
     upper = min(nrm, lower + nrm * h / 2.0)
     while True:
         if rounds == MAX_ROUNDS:
@@ -409,9 +463,11 @@ def _sweep(t, tol: float) -> tuple[RadiusBracket, int, int]:
             # Nothing dropped, as on a plateau: fill in the initial grid,
             # keeping the coarse spectra, take the lower bound from it and
             # try the level-set certificate on its eigenvalues.
-            fill = np.flatnonzero(np.arange(INITIAL_GRID) % _COARSE_STEP)
+            missing = np.ones(INITIAL_GRID, dtype=bool)
+            missing[ends * _COARSE_STEP] = False
+            fill = np.flatnonzero(missing)
             full = np.empty((INITIAL_GRID, spectra.shape[1]))
-            full[::_COARSE_STEP] = spectra
+            full[ends * _COARSE_STEP] = spectra
             full[fill] = solve(fill * (h / _COARSE_STEP))
             g = np.maximum(np.abs(full[:, 0]), np.abs(full[:, -1]))
             best = int(np.argmax(g))

@@ -5,6 +5,7 @@ import pytest
 
 from numrad import (
     NotABNormal,
+    Workspace,
     ab_certify,
     lower_sab,
     lower_th5,
@@ -12,6 +13,7 @@ from numrad import (
     numerical_radius,
     spectral_norm,
 )
+from numrad.linalg import EPS
 from numrad.worked_examples import LOWER_TRIANGULAR_2 as T2, SHIFT_3 as T3
 
 from conftest import random_complex, random_unitary
@@ -164,6 +166,25 @@ class TestLowerBounds:
             assert th5 <= upper + 1e-7
             assert th6 <= upper + 1e-7
             assert sab > spectral_norm(a) / 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_spread_bounds_at_a_squaring_overflow(self):
+        # ||T||^2 = 4e320 overflows; both bounds used to raise OverflowError.
+        h = 1e160 * np.diag([1.0, 2.0])
+        cert = ab_certify(h)
+        assert lower_th5(h, cert) == pytest.approx(2e160, rel=4 * EPS, abs=0)
+        assert lower_th6(h, cert) == pytest.approx(math.sqrt(2.0) * 1e160, rel=4 * EPS, abs=0)
+
+    def test_spread_bounds_equal_the_unscaled_formula(self, rng):
+        # The power-of-two scaling is exact, so at normal scales the bounds
+        # are the plain formula's, bit for bit.
+        for scale in (2.0**-40, 1.0, 1e6):
+            ws = Workspace(scale * random_complex(rng, 3))
+            cert = ab_certify(ws)
+            f = max(1.0 + cert.alpha_best**2, 1.0 + 1.0 / cert.beta_best**2)
+            (re, im), (p, q) = ws.re_im_norms, ws.half_rotated_norms
+            assert lower_th5(ws, cert) == math.sqrt(f * ws.norm**2 / 4.0 + abs(re**2 - im**2) / 2.0)
+            assert lower_th6(ws, cert) == math.sqrt(f * ws.norm**2 / 4.0 + abs(p**2 - q**2))
 
     def test_rejects_uncertified(self):
         cert = ab_certify(T3)

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from numrad import (
     NoConvergence,
     NotSquare,
     Timeout,
+    Workspace,
     cartesian_parts,
     hermitian_section,
     numerical_radius,
@@ -191,11 +193,11 @@ class TestNumericalRadius:
         assert abs(abs(bracket.witness[0]) - 1.0) <= 1e-15 and bracket.witness[1] == 0
 
     def test_shift3_section_count(self, monkeypatch):
-        # The plateau closes from the initial grid's 360 sections; the
-        # branch-and-bound alone would evaluate 23,040 here.
+        # The plateau closes from the initial grid's 320 sections; the
+        # branch-and-bound alone would evaluate 20,480 here.
         sections = count_sections(monkeypatch)
         numerical_radius(T3, 1e-8)
-        assert sum(sections) == 360
+        assert sum(sections) == 320
 
     def test_coarse_start_section_count(self, monkeypatch):
         # Smooth inputs drop most of the coarse grid's intervals in round 0
@@ -208,13 +210,14 @@ class TestNumericalRadius:
 
     def test_bracket_wider_than_tol_is_refused(self):
         # At 2^40 the witness value |<Tx, x>| is only known to about 1e-4,
-        # far above tol: this bracket ends 2.4e-3 wide.
+        # far above tol: this bracket used to end 2.4e-3 wide, and the
+        # rounding floor now refuses tol before the sweep.
         a = random_complex(np.random.default_rng(5), 6) * 2.0**40
         with pytest.raises(NoConvergence) as info:
             numerical_radius(a, 1e-9)
         message = str(info.value)
-        assert "wide exceeds tol 1.000e-09" in message
-        assert " rounds and " in message and " section matrices" in message
+        assert "of the sections (32 n eps ||T||) exceeds tol 1.000e-09" in message
+        assert "rounding floor " in message
 
     def test_zero_matrix(self):
         bracket = numerical_radius(np.zeros((3, 3)), 1e-9)
@@ -239,18 +242,27 @@ class TestNumericalRadius:
             numerical_radius(T2, 1e-9)
         message = str(info.value)
         assert "after 0 rounds" in message
-        # Only the coarse start: every 8th angle of the initial grid.
-        assert "45 section matrices evaluated" in message
-        assert "45 intervals live" in message
+        # Only the coarse start: every 32nd angle of the initial grid.
+        assert "10 section matrices evaluated" in message
+        assert "10 intervals live" in message
 
-    @pytest.mark.parametrize(
-        "n, scale, tol", [(4, 2.0**40, 1e-9), (80, 1.0, 1e-12)], ids=["shift4-2^40", "shift80-tol1e-12"]
-    )
+    def test_tol_below_the_rounding_floor_is_refused_at_once(self, monkeypatch):
+        # The 4 x 4 unit shift at 2^40 used to refine every interval until
+        # the work cap stopped it, after 1.6 s; tol 1e-9 is below the floor
+        # 32 n eps ||T|| = 0.031, so it is refused before any section.
+        sections = count_sections(monkeypatch)
+        start = time.perf_counter()
+        with pytest.raises(NoConvergence, match="rounding floor 3.125e-02 .* exceeds tol 1.000e-09"):
+            numerical_radius(weighted_shift(4, 2.0**40), 1e-9)
+        assert time.perf_counter() - start < 0.1
+        assert sections == []
+
+    @pytest.mark.parametrize("n, scale, tol", [(80, 1.0, 1e-12)], ids=["shift80-tol1e-12"])
     def test_work_cap_ends_a_runaway_plateau(self, monkeypatch, n, scale, tol):
-        # Plateaus whose brackets neither certificate closes: tol is below
-        # the sections' rounding, or the level-set factors are too small.
-        # Each used to refine every interval for minutes; the patched
-        # solver stops a sweep that passes the cap instead.
+        # A plateau whose bracket neither certificate closes: the level-set
+        # factors are too small.  It used to refine every interval for
+        # minutes; the patched solver stops a sweep that passes the cap
+        # instead.
         entries = []
         original = np.linalg.eigvalsh
 
@@ -279,7 +291,7 @@ class TestNumericalRadius:
         rng = np.random.default_rng(4)
         a = random_complex(rng, 8) if seeded else weighted_shift(8, 1.0, rng.uniform(0.0, 2 * np.pi, 7))
         whole = numerical_radius(a, 1e-9)
-        # Three sections per call, so the 45- and 315-angle solves end in a short piece.
+        # Three sections per call, so the 10- and 310-angle solves end in a short piece.
         monkeypatch.setattr(radius_mod, "_SOLVE_ENTRIES", 3 * 64 + 5)
         pieces = numerical_radius(a, 1e-9)
         for field in ("lower", "upper", "argmax_angle", "witness"):
@@ -398,8 +410,8 @@ class TestPlateauCertificate:
         assert bracket.lower <= 1.0 <= bracket.upper + EPS
 
     def test_refuses_beyond_the_bernstein_range(self):
-        # n h / 2 < 1/2 holds up to n = 114 at 360 angles.
-        for n, expected in ((114, True), (115, False), (128, False)):
+        # n h / 2 < 1/2 holds up to n = 101 at 320 angles.
+        for n, expected in ((101, True), (102, False), (128, False)):
             vals = np.zeros((radius_mod.INITIAL_GRID, n))
             assert radius_mod._level_set_empty(vals, 1.0, 1.0) is expected
 
@@ -421,3 +433,26 @@ class TestPlateauCertificate:
             vals = grid_eigvals(weighted_shift(n, 1.0, rng.uniform(0.0, 2 * np.pi, n - 1)))
             exact = np.sort(np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
             assert np.abs(vals - exact).max() <= 2 * n * EPS
+
+
+class TestBuzanoTerms:
+    """The w-term sweeps behind the Buzano rows: w(|T| + i|T*|) over a quarter circle."""
+
+    @pytest.mark.parametrize("seed", range(41))
+    def test_quarter_circle_encloses_the_full_sweep(self, seed):
+        # seed 40 is one n = 64 case; the others have n = 2 ... 8.
+        n = 64 if seed == 40 else 2 + seed % 7
+        ws = Workspace(random_complex(np.random.default_rng(seed), n))
+        full, _, _ = radius_mod._sweep(ws.abs_t + 1j * ws.abs_t_star, radius_mod.W_TERM_TOL)
+        delta = n * (n + 4) * EPS * ws.norm
+        assert full.lower <= ws.w_mix_upper <= full.upper + radius_mod.W_TERM_TOL + 3.0 * delta
+
+    def test_three_sweeps_section_budget(self, monkeypatch):
+        # w(T), w(|T| + i|T*|) and w(|T||T*|) of a report at n = 64 took
+        # about 210 section matrices from 45 angles over the full circle.
+        ws = Workspace(random_complex(np.random.default_rng(0), 64) / 8)
+        sections = count_sections(monkeypatch)
+        numerical_radius(ws, 1e-9)
+        ws.w_mix_upper
+        ws.w_prod_upper
+        assert sum(sections) <= 130
