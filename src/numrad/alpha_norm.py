@@ -21,13 +21,16 @@ with equality at y = x; M(c)x is also the ambient gradient of F at x.
 
 All starts ascend in lockstep, as the block form of LOBPCG advances
 its vectors (Knyazev, SIAM J. Sci. Comput. 23, 2001), whose
-three-vector subspace the Ritz step uses: a round takes one stacked
-QR, products of T with every live start's basis as one block of
-rows, one stacked eigh_desc and one batched F, and each start retires
-by its own rules.  The block stops once the best F reached is within
-a relative 4 eps of the squared sandwich cap min(||T||^2, th2, gamma),
-the square of upper_cert: no ascent rises past the cap, so no further
-step could raise best_value by more than about 4 ulps.
+three-vector subspace the Ritz steps use.  The products of T with a
+start's basis Q give the surrogate's Ritz matrix at every centre c, so
+a round takes two steps in it, the second re-centred at the first's
+<Ty, y>: one stacked QR, products of T with every live start's basis
+as one block of rows, two stacked eigh_desc calls of 3x3 matrices and
+one batched F, and each start retires by its own rules.  The block
+stops once the best F reached is within a relative 4 eps of the
+squared sandwich cap min(||T||^2, th2, gamma), the square of
+upper_cert: no ascent rises past the cap, so no further step could
+raise best_value by more than about 4 ulps.
 """
 
 from __future__ import annotations
@@ -79,6 +82,22 @@ def _tangents(a: np.ndarray, alpha: float, x: np.ndarray, c: np.ndarray, tx: np.
     return g - np.einsum("ij,ij->i", x.conj(), g)[:, None] * x
 
 
+def _ritz_blocks(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q* T Q, (TQ)* (TQ)) for a stack of orthonormal bases Q, (k, n, m),
+    from one (k m, n) block of products with T."""
+    k, n, m = q.shape
+    rows = q.transpose(0, 2, 1).reshape(k * m, n)
+    tq = (rows @ a.T).reshape(k, m, n)
+    return rows.conj().reshape(k, m, n) @ tq.transpose(0, 2, 1), tq.conj() @ tq.transpose(0, 2, 1)
+
+
+def _ritz(alpha: float, c: np.ndarray, a_q: np.ndarray, b_q: np.ndarray) -> np.ndarray:
+    """The Ritz matrices Q* M(c) Q = alpha (conj(c) A + c A*) + (1 - alpha) B
+    of the blocks (A, B) from _ritz_blocks, one centre c per basis."""
+    c = c[:, None, None]
+    return alpha * (np.conj(c) * a_q + c * a_q.conj().transpose(0, 2, 1)) + (1.0 - alpha) * b_q
+
+
 def _rows(mask: np.ndarray, *blocks: np.ndarray) -> tuple[np.ndarray, ...]:
     """The rows of each block where mask holds; the blocks themselves when it holds everywhere."""
     return blocks if mask.all() else tuple(b[mask] for b in blocks)
@@ -109,18 +128,26 @@ def _ascend(a: np.ndarray, alpha: float, x0: np.ndarray, cap: Callable[[], float
     """Minorize-maximize ascent from every row of the block x0, in
     lockstep; returns (F, x) at each start's limit, one row per start.
 
-    A step moves to the unit y in span(x, t, s) that maximizes <M(c)y, y>:
-    Q times the top eigenvector of the 3x3 matrix Q* M(c) Q, Q an
-    orthonormal basis, t the tangent part of M(c)x, s the previous step
-    (zero at first).  x is in the span, so F(y) >= <M(c)y, y> - alpha |c|^2
-    >= <M(c)x, x> - alpha |c|^2 = F(x): no step lowers F or needs a step
-    size.  A round steps every live start at once: one stacked QR of
-    the [x, t, s] blocks, products of T with all the bases as one
-    (3k, n) block of rows, one stacked eigh_desc of the k Ritz matrices
-    and one batched F.  Each start keeps its own rules and retires on
-    its own: at tangent norm <= GRAD_TOL * F(x), when F stops strictly
-    rising, or after MAX_STEPS steps.  F and the tangent both scale as
-    s^2 under T -> sT, so the first test decides alike at every scale;
+    A round takes two surrogate steps in span(x, t, s), Q an orthonormal
+    basis of it, t the tangent part of M(c)x and s the previous round's
+    move (zero at first).  The Ritz matrix Q* M(c) Q is
+    alpha (conj(c) A + c A*) + (1 - alpha) B with A = Q* T Q and
+    B = (TQ)* (TQ), so once TQ is formed the surrogate at any c costs a
+    3x3 matrix and no product with T.  The first step takes the top
+    eigenvector z1 of the Ritz matrix at c = <Tx, x>, the second
+    re-centres at c1 = z1* A z1 = <T Q z1, Q z1> and moves to y = Q z2,
+    z2 the top eigenvector there.  Each is a minorize-maximize step
+    within the span, which holds x and Q z1, so
+    F(y) >= <M(c1) Q z2, Q z2> - alpha |c1|^2 >= F(Q z1)
+    >= <M(c) x, x> - alpha |c|^2 = F(x): no step lowers F or needs a
+    step size.  A round steps every live start at once: one stacked QR
+    of the [x, t, s] blocks, products of T with all the bases as one
+    (3k, n) block of rows, two stacked eigh_desc calls of the k Ritz
+    matrices and one batched F.  Each start keeps its own rules and
+    retires on its own: at tangent norm <= GRAD_TOL * F(x), when F stops
+    strictly rising over a round, or after MAX_STEPS rounds.  F and the
+    tangent both scale as s^2 under T -> sT, so the first test decides
+    alike at every scale;
     it compares norms, not squares, so that the threshold never
     overflows.  When ||t||^2 is not a normal float (zero, subnormal or
     not finite) it may have under- or overflowed, and ||t|| is taken
@@ -158,11 +185,11 @@ def _ascend(a: np.ndarray, alpha: float, x0: np.ndarray, cap: Callable[[], float
                 break
             live, x, t, s, f, c = _rows(go, live, x, t, s, f, c)
             q = np.linalg.qr(np.stack([x, t, s], axis=2))[0]
-            k, n, m = q.shape
-            rows = q.transpose(0, 2, 1).reshape(k * m, n)
-            mq = _apply_surrogate(a, alpha, np.repeat(c, m)[:, None], rows, rows @ a.T)
-            ritz = rows.conj().reshape(k, m, n) @ mq.reshape(k, m, n).transpose(0, 2, 1)
-            y = (q @ eigh_desc(ritz)[1][:, :, :1])[:, :, 0]
+            a_q, b_q = _ritz_blocks(a, q)
+            z = eigh_desc(_ritz(alpha, c, a_q, b_q))[1][:, :, 0]
+            c1 = np.einsum("ki,kij,kj->k", z.conj(), a_q, z)
+            z = eigh_desc(_ritz(alpha, c1, a_q, b_q))[1][:, :, 0]
+            y = (q @ z[:, :, None])[:, :, 0]
             fy, cy, ty = _values(a, alpha, y)
             live, x, s, f, c, tx = _rows(fy > f, live, y, y - x, fy, cy, ty)
             limit_f[live], limit_x[live] = f, x

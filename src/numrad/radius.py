@@ -13,21 +13,29 @@ one Hermitian norm per angle.  A branch-and-bound refinement brackets
 the maximum.  Every evaluated value g(theta) equals <H(phi) x, x> for
 phi = theta and the top eigenvector x, or phi = theta + pi and the
 bottom one, hence is a valid lower bound for w(T).  An interval
-[t1, t2] of width h carries the certificate
+[t1, t2] of width h, with end values g1, g2, d = g2 - g1 and
+a = W h^2 / 2, carries the chord certificate
 
-    sup over the interval <= max(g(t1), g(t2)) + W h^2 / 8
+    sup over the interval <= max over s in [0, 1] of g1 + d s + a s (1 - s)
+                           = (g1 + g2) / 2 + a / 4 + d^2 / (4 a)   if |d| <= a,
+                             max(g1, g2)                           otherwise,
 
 with W any already proven upper bound for w(T).  Each sheet
 theta -> lambda_max H(theta) is a supremum of sinusoids
 |<Tx, x>| cos(theta + phi_x) whose amplitude never exceeds
 w(T) <= W, so it plus W theta^2 / 2 is convex; the maximum of the two
-sheets g keeps that property.  g is also L-Lipschitz with L = ||T||,
-but the bound L h / 2 it gives never beats W h^2 / 8: W <= L and
-h <= pi / 10 < 4.  L serves only the first cap, lower + L h / 2 on the
-coarse grid, before any W is proven.  Without the quadratic term,
-matrices whose section spectrum is theta-invariant (weighted shifts,
-where g is constant) would need ~2^20 eigenvalue evaluations to
-certify a 1e-8 bracket; with it a handful of rounds suffice.
+sheets g keeps that property.  A convex function lies below its chord,
+and at theta = t1 + s h the chord of phi = g + W theta^2 / 2 gives
+g(theta) <= g1 + d s + W h^2 s (1 - s) / 2.  The certificate never
+exceeds max(g1, g2) + W h^2 / 8, its value at d = 0: the slope between
+the ends, which the sweep has already paid for, only tightens it.  g
+is also L-Lipschitz with L = ||T||, but the bound L h / 2 it gives
+never beats W h^2 / 8: W <= L and h <= pi / 10 < 4.  L serves only the
+first cap, lower + L h / 2 on the coarse grid, before any W is proven.
+Without the quadratic term, matrices whose section spectrum is
+theta-invariant (weighted shifts, where g is constant) would need
+~2^20 eigenvalue evaluations to certify a 1e-8 bracket; with it a
+handful of rounds suffice.
 
 The certificate holds at any spacing, so the sweep starts coarse, from
 every 32nd angle of the INITIAL_GRID = 320 angles (10 angles,
@@ -280,6 +288,20 @@ def _section_rounding(n: int, norm: float) -> float:
     return 16 * n * EPS * norm
 
 
+def _chord_bound(gl: np.ndarray, gr: np.ndarray, bulge: float) -> np.ndarray:
+    """The max over s in [0, 1] of gl + d s + bulge s (1 - s), d = gr - gl,
+    per interval: (gl + gr) / 2 + bulge / 4 + d^2 / (4 bulge) where
+    |d| < bulge puts the vertex inside, else max(gl, gr).  It is the
+    chord certificate of the module docstring with bulge = W h^2 / 2;
+    halving gl and gr and dividing by bulge first, |d / bulge| < 1,
+    keep every term below the result, so nothing overflows."""
+    d = gr - gl
+    certs = np.maximum(gl, gr)
+    inner = np.abs(d) < bulge
+    certs[inner] = gl[inner] / 2.0 + gr[inner] / 2.0 + bulge / 4.0 + (d[inner] / bulge) * d[inner] / 4.0
+    return certs
+
+
 def _level_set_empty(vals: np.ndarray, level: float, norm: float) -> bool:
     """True when no section H(theta) has an eigenvalue equal to level,
     certified from vals, the ascending eigenvalues of H at the
@@ -344,9 +366,11 @@ def numerical_radius(t, tol: float = 1e-9) -> RadiusBracket:
     that no section reaches the level u = lower + 0.9 tol
     (_level_set_empty), the bracket closes at once with upper = u, or
     the coarse grid's proven bound if that is smaller.  Otherwise it
-    keeps every interval whose certified local maximum, the larger end
-    value plus W h^2 / 8 with W the running upper end and h the width,
-    could still exceed the proven lower bound, and halves those
+    keeps every interval whose certified local maximum, the top of the
+    chord through its two end values plus the bulge W h^2 s (1 - s) / 2
+    (W the running upper end, h the width, s in [0, 1]; at most the
+    larger end value plus W h^2 / 8), could still exceed the proven
+    lower bound, and halves those
     intervals, from the 10 coarse ones, until the bracket closes.  The
     first upper end is min(||T||, lower + ||T|| h / 2) on the coarse
     grid.  It raises Timeout, whose message gives the rounds, the
@@ -391,7 +415,10 @@ def _sweep(t, tol: float, quarter: bool = False) -> tuple[RadiusBracket, int, in
     _section_rounding is raised to it, so the bracket may come back
     wider than the tol asked for, but upper is still a proven upper
     bound and lower a realized value |<Tx, x>|; callers that read only
-    upper or the witness use it directly.
+    upper or the witness use it directly.  Every interval is certified
+    by _chord_bound from its two end values, which the sweep holds
+    anyway, so the certificate costs no section solve; it is never
+    looser than max(g1, g2) + W h^2 / 8, and equal to it on plateaus.
 
     quarter keeps only the live intervals in [pi / 2, pi], the coarse
     k = 5 ... 9, the last of which ends at the wrap sample at 0 since
@@ -451,8 +478,8 @@ def _sweep(t, tol: float, quarter: bool = False) -> tuple[RadiusBracket, int, in
     while True:
         if rounds == MAX_ROUNDS:
             raise timeout()
-        # Any proven upper bound works for the curvature certificate.
-        certs = np.maximum(gl, gr) + upper * h * h / 8.0
+        # Any proven upper bound works as W in the chord certificate.
+        certs = _chord_bound(gl, gr, upper * h * h / 2.0)
         upper = min(upper, max(lower, float(certs.max())))
         # A small internal margin keeps the final bracket within tol even
         # after the witness inner product replaces the grid lower bound.

@@ -302,3 +302,53 @@ def test_sandwich_stop_skips_the_crawl(monkeypatch):
     est = alpha_norm_estimate(a, 0.5, restarts=2, radius_witness=witness)
     assert len(calls) <= 2
     assert est.best_value >= math.sqrt(uncapped.max()) * (1 - 4 * EPS)
+
+
+def test_ritz_matrix_from_the_blocks_matches_the_explicit_surrogate():
+    # alpha (conj(c) A + c A*) + (1 - alpha) B, with A = Q* T Q and
+    # B = (TQ)* (TQ), is Q* M(c) Q with no further product with T.
+    rng = np.random.default_rng(24)
+    for n in (2, 3, 8, 32):
+        a = random_complex(rng, n)
+        norm = spectral_norm(a)
+        q = np.linalg.qr(random_complex(rng, n, 3)[None])[0]
+        x = normalized(random_complex(rng, n, 1)[:, 0])
+        c = np.array([np.vdot(x, a @ x)])
+        for alpha in (0.0, 0.3, 0.5, 1.0):
+            got = alpha_norm_mod._ritz(alpha, c, *alpha_norm_mod._ritz_blocks(a, q))[0]
+            cols = q[0].T
+            explicit = cols.conj() @ alpha_norm_mod._apply_surrogate(a, alpha, c, cols, cols @ a.T).T
+            assert np.abs(got - explicit).max() <= 8 * n * EPS * norm * norm
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 16])
+def test_ascent_never_lowers_the_objective(monkeypatch, n):
+    # One start at a time, so the values _values sees are F at the start
+    # and after each round: two minorize-maximize steps never lower F.
+    seen = []
+    original = alpha_norm_mod._values
+
+    def recording(a, alpha, x):
+        out = original(a, alpha, x)
+        seen.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(alpha_norm_mod, "_values", recording)
+    rng = np.random.default_rng(n)
+    for a in (random_complex(rng, n), random_matrix("nilpotent-shift", n, rng)):
+        for alpha in (0.0, 0.5, 0.9, 1.0):
+            x0 = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
+            seen.clear()
+            _ascend(a, alpha, x0, lambda: math.inf)
+            values = np.concatenate(seen)
+            assert values.size >= 2
+            assert np.all(values[1:] >= values[:-1] * (1 - 8 * n * EPS)), alpha
+
+
+def test_round_budget_at_n_64(monkeypatch):
+    # Each round takes one stacked QR; one Ritz step per round took 74.
+    calls = []
+    original = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda m, *args, **kwargs: calls.append(m) or original(m, *args, **kwargs))
+    alpha_norm_estimate(random_complex(np.random.default_rng(0), 64) / 8, 0.5, restarts=16, seed=0)
+    assert len(calls) <= 60

@@ -14,6 +14,7 @@ from numrad import (
     cartesian_parts,
     hermitian_section,
     numerical_radius,
+    random_matrix,
     spectral_norm,
 )
 from numrad.linalg import EPS, herm_eigvals
@@ -456,3 +457,68 @@ class TestBuzanoTerms:
         ws.w_mix_upper
         ws.w_prod_upper
         assert sum(sections) <= 130
+
+
+class TestChordCertificate:
+    """The sweep's interval certificate: the top of the chord through the
+    two end values plus the bulge W h^2 s (1 - s) / 2 of the convex
+    g + W theta^2 / 2."""
+
+    def test_closed_form_is_the_parabola_maximum(self):
+        rng = np.random.default_rng(24)
+        s = np.linspace(0.0, 1.0, 10_001)
+        for case in range(400):
+            bulge = float(rng.uniform(1e-3, 2.0))
+            # Half the draws put |d| below the bulge (vertex inside), half above.
+            d = float(rng.uniform(-1.0, 1.0)) * bulge * (0.99 if case % 2 else 3.0)
+            g1 = float(rng.uniform(-2.0, 2.0))
+            g2 = g1 + d
+            got = float(radius_mod._chord_bound(np.array([g1]), np.array([g2]), bulge)[0])
+            brute = float((g1 + d * s + bulge * s * (1.0 - s)).max())
+            scale = abs(g1) + abs(g2) + bulge
+            # The grid misses the vertex by at most 5e-5 in s, so by bulge * 2.5e-9.
+            assert brute - 8 * EPS * scale <= got <= brute + bulge * 2.5e-9 + 8 * EPS * scale
+            assert got <= max(g1, g2) + bulge / 4.0 + 8 * EPS * scale
+
+    def test_plateau_certificate_is_unchanged(self):
+        g = np.array([0.25, 1.0, 3.0])
+        bulge = 0.375
+        assert np.array_equal(radius_mod._chord_bound(g, g.copy(), bulge), g + bulge / 4.0)
+
+    def test_sweep_upper_ends_enclose_a_dense_grid(self):
+        # sup g on [0, pi) and -lambda_min of the moduli mix on [pi / 2, pi].
+        for seed in range(60):
+            n = 2 + seed % 7
+            ensemble = ("ginibre", "normal", "nilpotent-shift")[seed % 3]
+            ws = Workspace(random_matrix(ensemble, n, np.random.default_rng(seed)))
+            thetas = np.linspace(0.0, np.pi, 20_001)
+            grid = herm_eigvals(radius_mod._sections(*ws.re_im, thetas))
+            g_max = float(np.maximum(-grid[:, 0], grid[:, -1]).max())
+            assert radius_mod._sweep(ws, 1e-9)[0].upper >= g_max, (seed, ensemble)
+            mix = Workspace(ws.abs_t + 1j * ws.abs_t_star)
+            mix_grid = herm_eigvals(radius_mod._sections(*mix.re_im, thetas[10_000:]))
+            assert ws.w_mix_upper >= float(-mix_grid[:, 0].min()), (seed, ensemble)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_answers_near_the_top_of_the_range(self, scale):
+        # d^2 / (4 bulge) formed as d * d first overflowed at 1e160 and 1e200.
+        for t in (T2, random_complex(np.random.default_rng(1), 6)):
+            unit = radius_mod._sweep(t, 1e-9)[0]
+            big = radius_mod._sweep(scale * t, 1e-9)[0]
+            assert np.isfinite(big.upper)
+            assert big.lower / scale <= unit.upper + 1e-8
+            assert big.upper / scale >= unit.lower - 1e-8
+
+    @pytest.mark.parametrize(
+        "t",
+        [random_complex(np.random.default_rng(6), 64) / 8, random_matrix("ginibre", 32, np.random.default_rng(109))],
+        ids=["complex-64-seed-6", "ginibre-32-seed-109"],
+    )
+    def test_smooth_near_disks_take_no_plateau_fill(self, monkeypatch, t):
+        # With max(g1, g2) + W h^2 / 8 round 0 kept every interval on these
+        # near-disk numerical ranges, and the sweep filled in the 320-angle
+        # grid: 364 and 369 section matrices against 44 with the chord.
+        sections = count_sections(monkeypatch)
+        numerical_radius(t, 1e-9)
+        assert sum(sections) <= 60
